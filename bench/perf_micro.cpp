@@ -26,7 +26,6 @@
 #include "mmlab/sim/crawl.hpp"
 #include "mmlab/sim/drive_test.hpp"
 #include "mmlab/store/analytics.hpp"
-#include "mmlab/store/columnar_build.hpp"
 #include "mmlab/store/shard_set.hpp"
 #include "mmlab/store/shard_writer.hpp"
 #include "mmlab/util/crc.hpp"
@@ -623,11 +622,11 @@ void BM_Crc16SliceBy8(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc16SliceBy8);
 
-// --- MMDS v2 sharded store: write, mmap load, out-of-core view build ---------
-// Same 1M-row database.  The store fixture is written once; load and
-// out-of-core build re-open it every iteration so the mmap + merge cost is
-// inside the timed region (page cache stays warm, as it does for the
-// repeated analysis passes the store serves).
+// --- MMDS v2 sharded store: write, mmap load ----------------------------------
+// Same 1M-row database.  The store fixture is written once; load re-opens
+// it every iteration so the mmap + merge cost is inside the timed region
+// (page cache stays warm, as it does for the repeated analysis passes the
+// store serves).
 
 const std::string& store_dir() {
   static const std::string dir = [] {
@@ -673,23 +672,6 @@ void BM_StoreLoadV2(benchmark::State& state) {
 BENCHMARK(BM_StoreLoadV2)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-void BM_StoreOocBuild(benchmark::State& state) {
-  const auto& dir = store_dir();
-  const auto threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    auto set = store::ShardSet::open(dir);
-    store::BuildOptions bopts;
-    bopts.threads = threads;
-    auto view = store::build_columnar(set.value(), bopts);
-    benchmark::DoNotOptimize(view.value().view.total_observations());
-  }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(dataset_db().total_samples()));
-}
-BENCHMARK(BM_StoreOocBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 // Small-block store fixture for the block-parallel paths: tiny rotation
 // targets turn the same 1M rows into hundreds of blocks, so the intra-
 // carrier parse fan-out (and the direct fold's windowed merge) is the
@@ -709,10 +691,11 @@ const std::string& small_block_store_dir() {
   return dir;
 }
 
-// The fig 11-22 mix straight off the mapped shards: one analyze_carrier
-// fold per carrier, no database, no view.  Compare against BM_StoreOocBuild
-// + the view queries: the direct path pays the parse every run but holds
-// only the parse window resident.
+// The fig 11-22 mix straight off the mapped shards: one single-carrier
+// analyze_query per carrier, no database, no view.  With one carrier
+// selected the fold runs the sequential branch, so `threads` is the
+// intra-carrier block-parse fan-out (BM_StoreCrossCarrierFold measures the
+// cross-carrier scheduler instead).
 void BM_StoreDirectFold(benchmark::State& state) {
   const auto& dir = small_block_store_dir();
   const auto threads = static_cast<unsigned>(state.range(0));
@@ -725,9 +708,11 @@ void BM_StoreDirectFold(benchmark::State& state) {
     const store::DirectFold direct(set.value(), fopts);
     std::uint64_t cells = 0;
     for (const auto& carrier : direct.carriers()) {
+      store::Query q;
+      q.carriers = {carrier};
       store::MixOptions mopts;
       mopts.cities = cities;
-      auto mix = store::analyze_carrier(direct, carrier, mopts);
+      auto mix = store::analyze_query(direct, q, mopts);
       cells += mix.value().stats.cells;
     }
     benchmark::DoNotOptimize(cells);
@@ -758,7 +743,7 @@ void BM_StoreDirectFoldPlanned(benchmark::State& state) {
     q.carriers = {carrier};
     store::MixOptions mopts;
     mopts.cities = cities;
-    auto mix = store::analyze_carrier(direct, carrier, mopts, q);
+    auto mix = store::analyze_query(direct, q, mopts);
     benchmark::DoNotOptimize(mix.value().stats.cells);
   }
   state.SetItemsProcessed(
@@ -791,27 +776,6 @@ void BM_StoreCrossCarrierFold(benchmark::State& state) {
       static_cast<std::int64_t>(dataset_db().total_samples()));
 }
 BENCHMARK(BM_StoreCrossCarrierFold)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// Block-parallel view build over the many-block fixture (BM_StoreOocBuild
-// uses default 8 MB blocks, where each carrier is one or two blocks and the
-// fan-out has nothing to chew on).
-void BM_StoreBuildParallel(benchmark::State& state) {
-  const auto& dir = small_block_store_dir();
-  const auto threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    auto set = store::ShardSet::open(dir);
-    store::BuildOptions bopts;
-    bopts.threads = threads;
-    bopts.release_mapped = false;
-    auto view = store::build_columnar(set.value(), bopts);
-    benchmark::DoNotOptimize(view.value().view.total_observations());
-  }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(dataset_db().total_samples()));
-}
-BENCHMARK(BM_StoreBuildParallel)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- deterministic parallel simulation: crawl + campaign fan-out -------------

@@ -5,8 +5,8 @@
 // per-(cell, parameter) products the columnar engine precomputes at build
 // time: key-grouped observation order, first-seen unique values, unique
 // (context, value) pairs (context >= 0 only), and the latest value under
-// CellRecord::latest's tie-break.  ColumnarView::CarrierAssembler copies the
-// products into its carrier columns; the out-of-core direct-fold query path
+// CellRecord::latest's tie-break.  The ColumnarView build copies the
+// products into its carrier columns; the shard-direct query path
 // (store::DirectFold) consumes them straight off a merged shard record and
 // discards the cell — both answers are bit-identical by construction because
 // this is the single implementation of the dedup/latest semantics.

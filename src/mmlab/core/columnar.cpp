@@ -1,8 +1,10 @@
 #include "mmlab/core/columnar.hpp"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
+#include "mmlab/core/cell_fold.hpp"
 #include "mmlab/util/worker_pool.hpp"
 
 namespace mmlab::core {
@@ -36,141 +38,142 @@ Partial fold_cells(std::size_t n_cells, unsigned threads,
   return acc;
 }
 
-}  // namespace
+/// Streaming per-carrier builder: feed a database's cells one at a time in
+/// ascending id order, then finish().  All per-cell dedup / latest /
+/// grouping semantics live in CellFolder, the kernel the shard-direct folds
+/// share, so view and store answers are structurally identical.
+class CarrierAssembler {
+ public:
+  using Carrier = ColumnarView::Carrier;
+  using Cell = ColumnarView::Cell;
+  using Span = ColumnarView::Span;
 
-ColumnarView::CarrierAssembler::CarrierAssembler(std::string name,
-                                                 bool keep_columns)
-    : keep_columns_(keep_columns) {
-  out_.name = std::move(name);
-}
+  explicit CarrierAssembler(std::string name) { out_.name = std::move(name); }
 
-void ColumnarView::CarrierAssembler::reserve(std::size_t cells,
-                                             std::size_t rows) {
-  out_.cells.reserve(cells);
-  if (keep_columns_) {
+  void reserve(std::size_t cells, std::size_t rows) {
+    out_.cells.reserve(cells);
     out_.value_col.reserve(rows);
     out_.time_col.reserve(rows);
     out_.context_col.reserve(rows);
   }
-}
 
-void ColumnarView::CarrierAssembler::add_cell(std::uint32_t id,
-                                              const CellRecord& rec,
-                                              const CellRecord* stable) {
-  Cell cell;
-  if (stable) {
-    cell.rec = stable;
-  } else {
-    CellRecord& meta = out_.owned_meta.emplace_back();
-    meta.cell_id = rec.cell_id;
-    meta.rat = rec.rat;
-    meta.channel = rec.channel;
-    meta.position = rec.position;
-    cell.rec = &meta;
-  }
-  cell.id = id;
-  cell.span_begin = static_cast<std::uint32_t>(out_.spans.size());
+  /// Feed one cell.  `id` must ascend across calls; `rec` must outlive the
+  /// finished carrier (Cell::rec points at it for metadata).
+  void add_cell(std::uint32_t id, const CellRecord& rec) {
+    Cell cell;
+    cell.rec = &rec;
+    cell.id = id;
+    cell.span_begin = static_cast<std::uint32_t>(out_.spans.size());
 
-  // All dedup/latest/grouping semantics live in the shared kernel; this
-  // method only relocates its per-cell output into the carrier columns.
-  folder_.fold(rec);
-  const auto order = folder_.grouped_order();
-  const std::uint32_t uniq_base = static_cast<std::uint32_t>(
-      out_.uniq_col.size());
-  const std::uint32_t ctx_base = static_cast<std::uint32_t>(
-      out_.ctx_value_col.size());
+    // The kernel computes the per-cell products; this method only
+    // relocates its output into the carrier columns.
+    folder_.fold(rec);
+    const auto order = folder_.grouped_order();
+    const std::uint32_t uniq_base = static_cast<std::uint32_t>(
+        out_.uniq_col.size());
+    const std::uint32_t ctx_base = static_cast<std::uint32_t>(
+        out_.ctx_value_col.size());
 
-  for (const CellFolder::KeySlice& slice : folder_.keys()) {
-    observed_.insert(slice.key);
-    Span span;
-    span.key = slice.key;
-    span.cell = static_cast<std::uint32_t>(out_.cells.size());
-    span.begin = static_cast<std::uint32_t>(next_row_) + slice.obs_begin;
-    span.end = static_cast<std::uint32_t>(next_row_) + slice.obs_end;
-    span.uniq_begin = uniq_base + slice.uniq_begin;
-    span.uniq_end = uniq_base + slice.uniq_end;
-    span.ctx_begin = ctx_base + slice.ctx_begin;
-    span.ctx_end = ctx_base + slice.ctx_end;
-    span.latest = slice.latest;
-    span.has_latest = slice.has_latest;
-    if (keep_columns_) {
+    for (const CellFolder::KeySlice& slice : folder_.keys()) {
+      observed_.insert(slice.key);
+      Span span;
+      span.key = slice.key;
+      span.cell = static_cast<std::uint32_t>(out_.cells.size());
+      span.begin = static_cast<std::uint32_t>(next_row_) + slice.obs_begin;
+      span.end = static_cast<std::uint32_t>(next_row_) + slice.obs_end;
+      span.uniq_begin = uniq_base + slice.uniq_begin;
+      span.uniq_end = uniq_base + slice.uniq_end;
+      span.ctx_begin = ctx_base + slice.ctx_begin;
+      span.ctx_end = ctx_base + slice.ctx_end;
+      span.latest = slice.latest;
+      span.has_latest = slice.has_latest;
       for (std::uint32_t j = slice.obs_begin; j < slice.obs_end; ++j) {
         const Observation& obs = rec.observations[order[j].second];
         out_.value_col.push_back(obs.value);
         out_.time_col.push_back(obs.t);
         out_.context_col.push_back(obs.context);
       }
+      out_.spans.push_back(span);
     }
-    out_.spans.push_back(span);
+    next_row_ += order.size();
+
+    const auto uniq = folder_.unique_values();
+    out_.uniq_col.insert(out_.uniq_col.end(), uniq.begin(), uniq.end());
+    const auto ctx_c = folder_.ctx_contexts();
+    out_.ctx_context_col.insert(out_.ctx_context_col.end(), ctx_c.begin(),
+                                ctx_c.end());
+    const auto ctx_v = folder_.ctx_values();
+    out_.ctx_value_col.insert(out_.ctx_value_col.end(), ctx_v.begin(),
+                              ctx_v.end());
+
+    cell.span_end = static_cast<std::uint32_t>(out_.spans.size());
+    out_.cells.push_back(cell);
   }
-  next_row_ += order.size();
 
-  const auto uniq = folder_.unique_values();
-  out_.uniq_col.insert(out_.uniq_col.end(), uniq.begin(), uniq.end());
-  const auto ctx_c = folder_.ctx_contexts();
-  out_.ctx_context_col.insert(out_.ctx_context_col.end(), ctx_c.begin(),
-                              ctx_c.end());
-  const auto ctx_v = folder_.ctx_values();
-  out_.ctx_value_col.insert(out_.ctx_value_col.end(), ctx_v.begin(),
-                            ctx_v.end());
+  /// Seal the carrier: sorted observed keys, the inverted span index and
+  /// the materialized per-key totals.  The assembler is spent afterwards.
+  Carrier finish() && {
+    Carrier& out = out_;
+    out.observed.assign(observed_.begin(), observed_.end());
 
-  cell.span_end = static_cast<std::uint32_t>(out_.spans.size());
-  out_.cells.push_back(cell);
-}
-
-ColumnarView::Carrier ColumnarView::CarrierAssembler::finish() && {
-  Carrier& out = out_;
-  out.observed.assign(observed_.begin(), observed_.end());
-
-  // Inverted span index: bucket span ids by key.  Spans are emitted in
-  // cell-ascending order, so a counting pass keeps each bucket
-  // cell-ascending too (the partition contract for parallel folds).
-  const auto key_index = [&](config::ParamKey k) {
-    return static_cast<std::size_t>(
-        std::lower_bound(out.observed.begin(), out.observed.end(), k) -
-        out.observed.begin());
-  };
-  std::vector<std::uint32_t> fill(out.observed.size(), 0);
-  for (const auto& s : out.spans) ++fill[key_index(s.key)];
-  out.key_ranges.resize(out.observed.size());
-  std::uint32_t run = 0;
-  for (std::size_t i = 0; i < fill.size(); ++i) {
-    out.key_ranges[i].begin = run;
-    run += fill[i];
-    out.key_ranges[i].end = run;
-    fill[i] = out.key_ranges[i].begin;
-  }
-  out.spans_by_key.resize(out.spans.size());
-  for (std::uint32_t sid = 0; sid < out.spans.size(); ++sid)
-    out.spans_by_key[fill[key_index(out.spans[sid].key)]++] = sid;
-
-  // Materialize the whole-carrier values() aggregate per key.  This is the
-  // one pass the legacy path re-ran on every call.
-  out.key_totals.resize(out.observed.size());
-  for (std::size_t i = 0; i < out.observed.size(); ++i) {
-    stats::ValueCounts& vc = out.key_totals[i];
-    for (std::uint32_t k = out.key_ranges[i].begin; k < out.key_ranges[i].end;
-         ++k) {
-      const Span& s = out.spans[out.spans_by_key[k]];
-      for (std::uint32_t j = s.uniq_begin; j < s.uniq_end; ++j)
-        vc.add(out.uniq_col[j]);
+    // Inverted span index: bucket span ids by key.  Spans are emitted in
+    // cell-ascending order, so a counting pass keeps each bucket
+    // cell-ascending too (the partition contract for parallel folds).
+    const auto key_index = [&](config::ParamKey k) {
+      return static_cast<std::size_t>(
+          std::lower_bound(out.observed.begin(), out.observed.end(), k) -
+          out.observed.begin());
+    };
+    std::vector<std::uint32_t> fill(out.observed.size(), 0);
+    for (const auto& s : out.spans) ++fill[key_index(s.key)];
+    out.key_ranges.resize(out.observed.size());
+    std::uint32_t run = 0;
+    for (std::size_t i = 0; i < fill.size(); ++i) {
+      out.key_ranges[i].begin = run;
+      run += fill[i];
+      out.key_ranges[i].end = run;
+      fill[i] = out.key_ranges[i].begin;
     }
-  }
-  return std::move(out_);
-}
+    out.spans_by_key.resize(out.spans.size());
+    for (std::uint32_t sid = 0; sid < out.spans.size(); ++sid)
+      out.spans_by_key[fill[key_index(out.spans[sid].key)]++] = sid;
 
-void ColumnarView::build_carrier(const std::string& name,
-                                 const ConfigDatabase::CellMap& cells,
-                                 Carrier& out) {
-  CarrierAssembler assembler(name, /*keep_columns=*/true);
+    // Materialize the whole-carrier values() aggregate per key.  This is
+    // the one pass the legacy path re-ran on every call.
+    out.key_totals.resize(out.observed.size());
+    for (std::size_t i = 0; i < out.observed.size(); ++i) {
+      stats::ValueCounts& vc = out.key_totals[i];
+      for (std::uint32_t k = out.key_ranges[i].begin;
+           k < out.key_ranges[i].end; ++k) {
+        const Span& s = out.spans[out.spans_by_key[k]];
+        for (std::uint32_t j = s.uniq_begin; j < s.uniq_end; ++j)
+          vc.add(out.uniq_col[j]);
+      }
+    }
+    return std::move(out_);
+  }
+
+ private:
+  Carrier out_;
+  std::uint64_t next_row_ = 0;
+  std::set<config::ParamKey> observed_;
+  CellFolder folder_;
+};
+
+void build_carrier(const std::string& name,
+                   const ConfigDatabase::CellMap& cells,
+                   ColumnarView::Carrier& out) {
+  CarrierAssembler assembler(name);
   std::size_t total_obs = 0;
   for (const auto& [id, rec] : cells) total_obs += rec.observations.size();
   assembler.reserve(cells.size(), total_obs);
   // The database outlives the view (class contract), so records are stable
   // and no metadata copy is needed.
-  for (const auto& [id, rec] : cells) assembler.add_cell(id, rec, &rec);
+  for (const auto& [id, rec] : cells) assembler.add_cell(id, rec);
   out = std::move(assembler).finish();
 }
+
+}  // namespace
 
 ColumnarView::ColumnarView(const ConfigDatabase& db, unsigned build_threads) {
   const auto& carriers = db.carriers();
@@ -189,9 +192,6 @@ ColumnarView::ColumnarView(const ConfigDatabase& db, unsigned build_threads) {
     });
   }
 }
-
-ColumnarView::ColumnarView(std::vector<Carrier> carriers)
-    : carriers_(std::move(carriers)) {}
 
 std::optional<std::uint32_t> ColumnarView::carrier_index(
     std::string_view name) const {
@@ -216,8 +216,7 @@ std::size_t ColumnarView::total_cells() const {
 
 std::size_t ColumnarView::total_observations() const {
   // Span row ranges cover every observation back-to-back, so the last
-  // span's end IS the carrier's row count — valid with or without the raw
-  // columns materialized.
+  // span's end IS the carrier's row count.
   std::size_t n = 0;
   for (const auto& c : carriers_)
     n += c.spans.empty() ? 0 : c.spans.back().end;

@@ -33,18 +33,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "mmlab/core/cell_fold.hpp"
 #include "mmlab/core/database.hpp"
 
 namespace mmlab::core {
@@ -83,13 +80,10 @@ class ColumnarView {
   };
 
   /// One interned carrier: cells ascending by cell id, all columns
-  /// contiguous.  The raw per-observation columns (value_col / time_col /
-  /// context_col) exist only when the carrier was assembled with
-  /// keep_columns — every precomputed query product (spans, uniq_col, the
-  /// ctx columns, latest, key_totals) is derived at build time, so the
-  /// out-of-core path drops the raw columns and analysis results are still
-  /// bit-identical.  Span [begin, end) row ranges stay meaningful either
-  /// way (logical row numbers; they index the raw columns when kept).
+  /// contiguous.  Span [begin, end) row ranges index the raw
+  /// per-observation columns (value_col / time_col / context_col); every
+  /// precomputed query product (spans, uniq_col, the ctx columns, latest,
+  /// key_totals) is derived from them at build time.
   struct Carrier {
     std::string name;
     std::vector<Cell> cells;
@@ -112,58 +106,12 @@ class ColumnarView {
     /// number of cells contributing to key i is key_ranges[i].end -
     /// key_ranges[i].begin (one span per observing cell).
     std::vector<stats::ValueCounts> key_totals;
-    /// Identity metadata owned by the carrier itself (out-of-core builds,
-    /// where no database outlives the view): Cell::rec points at elements
-    /// here.  A deque so element addresses survive growth and moves.  Empty
-    /// on the database-backed path.
-    std::deque<CellRecord> owned_meta;
-  };
-
-  /// Streaming per-carrier builder: feed cells one at a time in ascending
-  /// id order, then finish().  This is the single assembly path — the
-  /// in-memory constructor runs it over a database's cell maps, and the
-  /// out-of-core shard builder feeds it merged per-cell records — so both
-  /// views are bit-identical by construction.
-  class CarrierAssembler {
-   public:
-    /// With keep_columns false the raw per-observation columns are not
-    /// materialized (see Carrier), bounding memory by the precomputed
-    /// products instead of the row count.
-    explicit CarrierAssembler(std::string name, bool keep_columns = true);
-
-    void reserve(std::size_t cells, std::size_t rows);
-
-    /// Feed one cell.  `id` must ascend across calls.  When `stable` is
-    /// non-null it must outlive the finished carrier (the database-backed
-    /// path); otherwise `rec`'s identity metadata is copied into the
-    /// carrier's owned_meta and Cell::rec points there.
-    void add_cell(std::uint32_t id, const CellRecord& rec,
-                  const CellRecord* stable = nullptr);
-
-    /// Seal the carrier: sorted observed keys, the inverted span index and
-    /// the materialized per-key totals.  The assembler is spent afterwards.
-    Carrier finish() &&;
-
-   private:
-    Carrier out_;
-    bool keep_columns_;
-    std::uint64_t next_row_ = 0;
-    std::set<config::ParamKey> observed_;
-    // The per-cell product kernel (dedup, latest, key grouping) shared with
-    // the direct-fold query path; add_cell copies its per-cell output into
-    // the carrier columns.
-    CellFolder folder_;
   };
 
   /// Builds the view; `build_threads` workers build carriers concurrently
   /// (0 = hardware concurrency, 1 = serial).  The database must outlive the
   /// view and stay unmodified.
   explicit ColumnarView(const ConfigDatabase& db, unsigned build_threads = 1);
-
-  /// Assemble a view from externally built carriers (the out-of-core shard
-  /// path).  Carriers must be sorted by name and internally consistent —
-  /// i.e. produced by CarrierAssembler.
-  explicit ColumnarView(std::vector<Carrier> carriers);
 
   const std::vector<Carrier>& carriers() const { return carriers_; }
   /// Interned index of a carrier name (names are sorted, so this is a
@@ -218,10 +166,6 @@ class ColumnarView {
                                config::ParamKey key) const;
 
  private:
-  static void build_carrier(const std::string& name,
-                            const ConfigDatabase::CellMap& cells,
-                            Carrier& out);
-
   std::vector<Carrier> carriers_;
 };
 

@@ -477,7 +477,7 @@ void save_dataset_binary(const ConfigDatabase& db, const std::string& path) {
   const std::uint8_t trailer[2] = {static_cast<std::uint8_t>(crc & 0xFF),
                                    static_cast<std::uint8_t>(crc >> 8)};
   out.write(trailer, sizeof(trailer));
-  out.flush();
+  out.close();
 }
 
 Result<LoadStats> load_dataset_binary(const std::uint8_t* data,

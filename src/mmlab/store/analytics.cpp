@@ -11,16 +11,17 @@ namespace mmlab::store {
 // Each figure product is a small accumulator over the per-cell fold kernel:
 // consume() sees every merged cell (ascending id) with the CellFolder
 // already run on it, finish() produces the figure's output.  The standalone
-// entry points drive one accumulator per fold; analyze_carrier drives all
-// of them off a single fold — same consume() calls in the same order, so
-// the mix is bit-identical to the standalone results by construction.
+// entry points drive one accumulator per fold; analyze_query drives all of
+// them off a single fold per carrier — same consume() calls in the same
+// order, so the mix is bit-identical to the standalone results by
+// construction.
 //
-// Equivalence to the view path: CellFolder is the one implementation of the
-// per-cell products (the view's CarrierAssembler copies its output into the
+// Equivalence to the in-memory path: CellFolder is the one implementation
+// of the per-cell products (the ColumnarView copies its output into the
 // span columns), and the fold engine hands over the identical merged
-// records in the identical cell order the view builder consumed — so each
-// accumulator below mirrors its ColumnarView counterpart line for line,
-// with folder slices standing in for spans.
+// records in the identical ascending cell order a ConfigDatabase holds —
+// so each accumulator below mirrors its ColumnarView counterpart line for
+// line, with folder slices standing in for spans.
 
 namespace {
 
@@ -227,26 +228,32 @@ struct GapsAcc {
   }
 };
 
-/// Drive one carrier fold for either family: the plain full fold when no
-/// query was given, the planned fold otherwise.  When the query has no
-/// param predicate of its own, `narrow` (the exact keys the caller's
-/// accumulator reads; empty = reads everything) becomes the push-down set,
-/// so fixed-key products decode only their own values.
+/// Drive one planned carrier fold.  When the query has no param predicate
+/// of its own, `narrow` (the exact keys the caller's accumulator reads;
+/// empty = reads everything) becomes the push-down set, so fixed-key
+/// products decode only their own values.
 Result<FoldStats> fold_for(const DirectFold& direct, const std::string& carrier,
-                           const Query* query,
+                           const Query& query,
                            std::vector<config::ParamKey> narrow,
                            const DirectFold::CellConsumer& consumer) {
-  if (!query) return direct.fold_carrier(carrier, consumer);
-  Query q = *query;
+  Query q = query;
   q.carriers = {carrier};
   if (q.params.empty()) q.params = std::move(narrow);
   const QueryPlan plan(direct.shards(), std::move(q));
   return direct.fold_planned(plan, carrier, consumer);
 }
 
-Result<std::vector<core::ParamDiversity>> diversity_impl(
-    const DirectFold& direct, const std::string& carrier, const Query* query,
-    std::optional<spectrum::Rat> rat) {
+std::vector<config::ParamKey> gaps_keys() {
+  return {config::lte_param(config::ParamId::kSIntraSearch),
+          config::lte_param(config::ParamId::kSNonIntraSearch),
+          config::lte_param(config::ParamId::kThreshServingLow)};
+}
+
+}  // namespace
+
+Result<std::vector<core::ParamDiversity>> diversity_by_param(
+    const DirectFold& direct, const std::string& carrier,
+    std::optional<spectrum::Rat> rat, const Query& query) {
   DiversityAcc acc;
   core::CellFolder folder;
   const auto r = fold_for(direct, carrier, query, {},
@@ -258,8 +265,8 @@ Result<std::vector<core::ParamDiversity>> diversity_impl(
   return acc.finish(rat);
 }
 
-Result<std::vector<core::ParamDependence>> dependence_impl(
-    const DirectFold& direct, const std::string& carrier, const Query* query) {
+Result<std::vector<core::ParamDependence>> frequency_dependence(
+    const DirectFold& direct, const std::string& carrier, const Query& query) {
   DependenceAcc acc;
   core::CellFolder folder;
   const auto r = fold_for(direct, carrier, query, {},
@@ -271,9 +278,9 @@ Result<std::vector<core::ParamDependence>> dependence_impl(
   return acc.finish();
 }
 
-Result<std::map<long, stats::ValueCounts>> priority_by_channel_impl(
+Result<std::map<long, stats::ValueCounts>> priority_by_channel(
     const DirectFold& direct, const std::string& carrier, bool candidate,
-    const Query* query) {
+    const Query& query) {
   using R = Result<std::map<long, stats::ValueCounts>>;
   core::CellFolder folder;
   if (candidate) {
@@ -298,9 +305,9 @@ Result<std::map<long, stats::ValueCounts>> priority_by_channel_impl(
   return std::move(acc.groups);
 }
 
-Result<double> multi_priority_impl(const DirectFold& direct,
-                                   const std::string& carrier,
-                                   const Query* query) {
+Result<double> multi_priority_cell_fraction(const DirectFold& direct,
+                                            const std::string& carrier,
+                                            const Query& query) {
   ServingPriorityAcc acc;
   core::CellFolder folder;
   const auto key = config::lte_param(config::ParamId::kServingPriority);
@@ -313,9 +320,9 @@ Result<double> multi_priority_impl(const DirectFold& direct,
   return acc.multi_priority_fraction();
 }
 
-Result<std::map<long, stats::ValueCounts>> priority_by_city_impl(
+Result<std::map<long, stats::ValueCounts>> priority_by_city(
     const DirectFold& direct, const std::string& carrier,
-    const std::vector<geo::City>& cities, const Query* query) {
+    const std::vector<geo::City>& cities, const Query& query) {
   CityPriorityAcc acc;
   core::CellFolder folder;
   const auto key = config::lte_param(config::ParamId::kServingPriority);
@@ -328,11 +335,12 @@ Result<std::map<long, stats::ValueCounts>> priority_by_city_impl(
   return std::move(acc.out);
 }
 
-Result<std::vector<double>> spatial_impl(const DirectFold& direct,
-                                         const std::string& carrier,
-                                         config::ParamKey key,
-                                         const geo::City& city, double radius_m,
-                                         const Query* query) {
+Result<std::vector<double>> spatial_diversity(const DirectFold& direct,
+                                              const std::string& carrier,
+                                              config::ParamKey key,
+                                              const geo::City& city,
+                                              double radius_m,
+                                              const Query& query) {
   SpatialAcc acc(radius_m);
   core::CellFolder folder;
   const auto r = fold_for(direct, carrier, query, {key},
@@ -344,15 +352,8 @@ Result<std::vector<double>> spatial_impl(const DirectFold& direct,
   return acc.finish(radius_m);
 }
 
-std::vector<config::ParamKey> gaps_keys() {
-  return {config::lte_param(config::ParamId::kSIntraSearch),
-          config::lte_param(config::ParamId::kSNonIntraSearch),
-          config::lte_param(config::ParamId::kThreshServingLow)};
-}
-
-Result<core::MeasurementGaps> gaps_impl(const DirectFold& direct,
-                                        const std::string& carrier,
-                                        const Query* query) {
+Result<core::MeasurementGaps> measurement_decision_gaps(
+    const DirectFold& direct, const std::string& carrier, const Query& query) {
   GapsAcc acc;
   core::CellFolder folder;
   const auto consumer = [&](std::uint32_t, const core::CellRecord& rec) {
@@ -364,108 +365,16 @@ Result<core::MeasurementGaps> gaps_impl(const DirectFold& direct,
     if (!r) return Result<core::MeasurementGaps>::error(r.error_message());
     return std::move(acc.gaps);
   }
-  // Pooled = every (selected) carrier in name order, exactly the view
+  // Pooled = every selected carrier in name order, exactly the in-memory
   // path's carrier iteration — the per-carrier gap vectors concatenate.
-  if (query) {
-    Query q = *query;
-    if (q.params.empty()) q.params = gaps_keys();
-    const QueryPlan plan(direct.shards(), std::move(q));
-    for (const CarrierQueryPlan& cp : plan.carriers()) {
-      const auto r = direct.fold_planned(plan, cp.name, consumer);
-      if (!r) return Result<core::MeasurementGaps>::error(r.error_message());
-    }
-    return std::move(acc.gaps);
-  }
-  for (const auto& name : direct.carriers()) {
-    const auto r = direct.fold_carrier(name, consumer);
+  Query q = query;
+  if (q.params.empty()) q.params = gaps_keys();
+  const QueryPlan plan(direct.shards(), std::move(q));
+  for (const CarrierQueryPlan& cp : plan.carriers()) {
+    const auto r = direct.fold_planned(plan, cp.name, consumer);
     if (!r) return Result<core::MeasurementGaps>::error(r.error_message());
   }
   return std::move(acc.gaps);
-}
-
-}  // namespace
-
-Result<std::vector<core::ParamDiversity>> diversity_by_param(
-    const DirectFold& direct, const std::string& carrier,
-    std::optional<spectrum::Rat> rat) {
-  return diversity_impl(direct, carrier, nullptr, rat);
-}
-
-Result<std::vector<core::ParamDiversity>> diversity_by_param(
-    const DirectFold& direct, const std::string& carrier, const Query& query,
-    std::optional<spectrum::Rat> rat) {
-  return diversity_impl(direct, carrier, &query, rat);
-}
-
-Result<std::vector<core::ParamDependence>> frequency_dependence(
-    const DirectFold& direct, const std::string& carrier) {
-  return dependence_impl(direct, carrier, nullptr);
-}
-
-Result<std::vector<core::ParamDependence>> frequency_dependence(
-    const DirectFold& direct, const std::string& carrier, const Query& query) {
-  return dependence_impl(direct, carrier, &query);
-}
-
-Result<std::map<long, stats::ValueCounts>> priority_by_channel(
-    const DirectFold& direct, const std::string& carrier, bool candidate) {
-  return priority_by_channel_impl(direct, carrier, candidate, nullptr);
-}
-
-Result<std::map<long, stats::ValueCounts>> priority_by_channel(
-    const DirectFold& direct, const std::string& carrier, bool candidate,
-    const Query& query) {
-  return priority_by_channel_impl(direct, carrier, candidate, &query);
-}
-
-Result<double> multi_priority_cell_fraction(const DirectFold& direct,
-                                            const std::string& carrier) {
-  return multi_priority_impl(direct, carrier, nullptr);
-}
-
-Result<double> multi_priority_cell_fraction(const DirectFold& direct,
-                                            const std::string& carrier,
-                                            const Query& query) {
-  return multi_priority_impl(direct, carrier, &query);
-}
-
-Result<std::map<long, stats::ValueCounts>> priority_by_city(
-    const DirectFold& direct, const std::string& carrier,
-    const std::vector<geo::City>& cities) {
-  return priority_by_city_impl(direct, carrier, cities, nullptr);
-}
-
-Result<std::map<long, stats::ValueCounts>> priority_by_city(
-    const DirectFold& direct, const std::string& carrier,
-    const std::vector<geo::City>& cities, const Query& query) {
-  return priority_by_city_impl(direct, carrier, cities, &query);
-}
-
-Result<std::vector<double>> spatial_diversity(const DirectFold& direct,
-                                              const std::string& carrier,
-                                              config::ParamKey key,
-                                              const geo::City& city,
-                                              double radius_m) {
-  return spatial_impl(direct, carrier, key, city, radius_m, nullptr);
-}
-
-Result<std::vector<double>> spatial_diversity(const DirectFold& direct,
-                                              const std::string& carrier,
-                                              config::ParamKey key,
-                                              const geo::City& city,
-                                              double radius_m,
-                                              const Query& query) {
-  return spatial_impl(direct, carrier, key, city, radius_m, &query);
-}
-
-Result<core::MeasurementGaps> measurement_decision_gaps(
-    const DirectFold& direct, const std::string& carrier) {
-  return gaps_impl(direct, carrier, nullptr);
-}
-
-Result<core::MeasurementGaps> measurement_decision_gaps(
-    const DirectFold& direct, const Query& query, const std::string& carrier) {
-  return gaps_impl(direct, carrier, &query);
 }
 
 namespace {
@@ -523,32 +432,6 @@ struct MixAcc {
 };
 
 }  // namespace
-
-Result<CarrierAnalysis> analyze_carrier(const DirectFold& direct,
-                                        const std::string& carrier,
-                                        const MixOptions& options) {
-  MixAcc acc(options);
-  const auto r = direct.fold_carrier(
-      carrier,
-      [&](std::uint32_t, const core::CellRecord& rec) { acc.consume(rec); });
-  if (!r) return Result<CarrierAnalysis>::error(r.error_message());
-  return acc.finish(r.value());
-}
-
-Result<CarrierAnalysis> analyze_carrier(const DirectFold& direct,
-                                        const std::string& carrier,
-                                        const MixOptions& options,
-                                        const Query& query) {
-  Query q = query;
-  q.carriers = {carrier};
-  const QueryPlan plan(direct.shards(), std::move(q));
-  MixAcc acc(options);
-  const auto r = direct.fold_planned(
-      plan, carrier,
-      [&](std::uint32_t, const core::CellRecord& rec) { acc.consume(rec); });
-  if (!r) return Result<CarrierAnalysis>::error(r.error_message());
-  return acc.finish(r.value());
-}
 
 Result<QueryAnalysis> analyze_query(const DirectFold& direct,
                                     const Query& query,

@@ -1,6 +1,7 @@
 #include "mmlab/store/direct_fold.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <deque>
 #include <limits>
@@ -44,55 +45,43 @@ struct ParsedBlock {
 
 }  // namespace
 
-DirectFold::DirectFold(const ShardSet& set, FoldOptions options)
-    : set_(&set), options_(options) {
-  const Manifest& m = set.manifest();
-  // Sorted carrier order, same as ColumnarView.
-  std::vector<std::uint32_t> order(m.carriers.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return m.carriers[a] < m.carriers[b];
-  });
+/// Every concurrent job of one fold_query adds its parsed-and-resident
+/// block count here, so `peak` is the high-water mark of the *total*
+/// window across jobs — the number the shared budget bounds.
+struct DirectFold::ResidencyGauge {
+  std::atomic<std::uint64_t> resident{0};
+  std::atomic<std::uint64_t> peak{0};
 
-  std::vector<std::vector<std::size_t>> blocks_of(m.carriers.size());
-  for (std::size_t i = 0; i < set.blocks().size(); ++i)
-    blocks_of[set.blocks()[i].info->carrier_index].push_back(i);
-
-  names_.reserve(order.size());
-  plans_.reserve(order.size());
-  for (const std::uint32_t ci : order) {
-    names_.push_back(m.carriers[ci]);
-    CarrierPlan plan;
-    plan.carrier_index = ci;
-    plan.blocks = std::move(blocks_of[ci]);
-    if (m.block_extras) {
-      plan.safe_floor.resize(plan.blocks.size());
-      std::uint32_t floor = std::numeric_limits<std::uint32_t>::max();
-      for (std::size_t i = plan.blocks.size(); i-- > 0;) {
-        floor = std::min(floor, set.blocks()[plan.blocks[i]].info->first_cell);
-        plan.safe_floor[i] = floor;
-      }
+  void add(std::uint64_t n) {
+    const std::uint64_t now =
+        resident.fetch_add(n, std::memory_order_relaxed) + n;
+    std::uint64_t p = peak.load(std::memory_order_relaxed);
+    while (p < now &&
+           !peak.compare_exchange_weak(p, now, std::memory_order_relaxed)) {
     }
-    plans_.push_back(std::move(plan));
   }
-  stats_.crc_checked = m.block_extras && options_.check_block_crc;
+  void sub(std::uint64_t n) {
+    resident.fetch_sub(n, std::memory_order_relaxed);
+  }
+};
+
+DirectFold::DirectFold(const ShardSet& set, FoldOptions options)
+    : set_(&set), options_(options), names_(set.manifest().carriers) {
+  // Sorted carrier order, same as ColumnarView and QueryPlan.
+  std::sort(names_.begin(), names_.end());
+  stats_.crc_checked = set.manifest().block_extras;
 }
 
-DirectFold::FoldJob DirectFold::make_job(
-    const std::vector<std::size_t>& blocks,
-    const std::vector<std::uint32_t>& safe_floor, std::string_view carrier,
-    const QueryPlan* plan) const {
+DirectFold::FoldJob DirectFold::make_job(const QueryPlan& plan,
+                                         const CarrierQueryPlan& cp) const {
   FoldJob job;
-  job.blocks = &blocks;
-  job.safe_floor = &safe_floor;
-  job.carrier = carrier;
-  job.max_cell = std::numeric_limits<std::uint32_t>::max();
-  if (plan) {
-    job.param_mask = &plan->param_mask();
-    job.min_cell = plan->query().min_cell;
-    job.max_cell = plan->query().max_cell;
-    job.filtered = plan->filtered();
-  }
+  job.blocks = &cp.blocks;
+  job.safe_floor = &cp.safe_floor;
+  job.carrier = cp.name;
+  job.param_mask = &plan.param_mask();
+  job.min_cell = plan.query().min_cell;
+  job.max_cell = plan.query().max_cell;
+  job.filtered = plan.filtered();
   unsigned threads = options_.threads == 0 ? WorkerPool::default_thread_count()
                                            : options_.threads;
   if (threads == 0) threads = 1;
@@ -101,9 +90,8 @@ DirectFold::FoldJob DirectFold::make_job(
   if (window == 0) window = std::max<std::size_t>(2, std::size_t{2} * threads);
   // No per-block cell-id ranges means no emission frontier: every block
   // could still contribute a run of any cell, so parse them all up front.
-  if (safe_floor.empty()) window = blocks.size();
+  if (cp.safe_floor.empty()) window = cp.blocks.size();
   job.window = window;
-  job.gauge = options_.gauge;
   return job;
 }
 
@@ -113,12 +101,10 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
   const auto start = std::chrono::steady_clock::now();
   const std::vector<std::size_t>& blocks = *job.blocks;
   const bool extras = set_->manifest().block_extras;
-  const bool check_crc = extras && options_.check_block_crc;
-  static const std::vector<char> kNoMask;
-  const std::vector<char>& keep = job.param_mask ? *job.param_mask : kNoMask;
+  const std::vector<char>& keep = *job.param_mask;
 
   FoldStats fs;
-  fs.crc_checked = check_crc;
+  fs.crc_checked = extras;
   std::deque<ParsedBlock> live;
   std::size_t resident = 0;  // live blocks still holding parsed cells
   std::size_t next_block = 0;
@@ -126,7 +112,7 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
   const auto parse_one = [&](ParsedBlock& pb) {
     const BlockInfo& info = *set_->blocks()[pb.global].info;
     const auto body = set_->block_body(pb.global);
-    if (check_crc && crc16_ccitt(body.data(), body.size()) != info.crc16)
+    if (extras && crc16_ccitt(body.data(), body.size()) != info.crc16)
       throw std::runtime_error("block CRC mismatch at shard offset " +
                                std::to_string(info.offset));
     ByteReader r(body.data(), body.size());
@@ -272,12 +258,12 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
         // Unreachable: safe is +inf once everything is parsed.
       } else {
         const std::string err = parse_batch();
-        if (!err.empty()) return R::error("fold_carrier: " + err);
+        if (!err.empty()) return R::error("fold: " + err);
         continue;
       }
     }
     // Merge every front run of min_id, in window (= manifest) order — the
-    // pairwise ConfigDatabase::merge the loader and view builder perform.
+    // pairwise ConfigDatabase::merge the loader performs.
     // Under wire filtering, merge_from's metadata tie-break would see
     // *filtered* front timestamps, so the winner (minimal unfiltered front
     // t over non-empty runs, earliest run on ties, first run when all runs
@@ -351,16 +337,6 @@ FoldStats DirectFold::stats() const {
   return stats_;
 }
 
-Result<FoldStats> DirectFold::fold_carrier(std::string_view carrier,
-                                           const CellConsumer& consumer) const {
-  const auto it = std::lower_bound(names_.begin(), names_.end(), carrier);
-  if (it == names_.end() || *it != carrier) return FoldStats{};
-  const CarrierPlan& plan =
-      plans_[static_cast<std::size_t>(it - names_.begin())];
-  return run_fold(make_job(plan.blocks, plan.safe_floor, *it, nullptr),
-                  consumer);
-}
-
 Result<FoldStats> DirectFold::fold_planned(const QueryPlan& plan,
                                            std::string_view carrier,
                                            const CellConsumer& consumer) const {
@@ -369,8 +345,7 @@ Result<FoldStats> DirectFold::fold_planned(const QueryPlan& plan,
     return R::error("fold_planned: plan is bound to a different shard set");
   const CarrierQueryPlan* cp = plan.find_carrier(carrier);
   if (!cp) return FoldStats{};
-  auto r = run_fold(make_job(cp->blocks, cp->safe_floor, cp->name, &plan),
-                    consumer);
+  auto r = run_fold(make_job(plan, *cp), consumer);
   if (!r) return r;
   FoldStats fs = r.value();
   fs.blocks_skipped = plan.blocks_skipped();
@@ -406,7 +381,7 @@ Result<FoldStats> DirectFold::fold_query(
       std::min<std::size_t>(threads, std::max<std::size_t>(nonempty, 1));
 
   FoldStats agg;
-  agg.crc_checked = set_->manifest().block_extras && options_.check_block_crc;
+  agg.crc_checked = set_->manifest().block_extras;
   agg.blocks_skipped = plan.blocks_skipped();
   agg.bytes_skipped = plan.bytes_skipped();
 
@@ -417,9 +392,7 @@ Result<FoldStats> DirectFold::fold_query(
     // The sequential per-carrier loop, with intra-carrier parallelism as
     // configured — one thread means exactly the pre-scheduler behavior.
     for (std::size_t i = 0; i < cps.size(); ++i) {
-      const auto r = run_fold(
-          make_job(cps[i].blocks, cps[i].safe_floor, cps[i].name, &plan),
-          consumers[i]);
+      const auto r = run_fold(make_job(plan, cps[i]), consumers[i]);
       if (!r) return R::error(r.error_message());
       per[i] = r.value();
       agg.peak_resident_blocks =
@@ -434,8 +407,7 @@ Result<FoldStats> DirectFold::fold_query(
     std::size_t budget = options_.window_blocks;
     if (budget == 0) budget = std::max<std::size_t>(2, std::size_t{2} * threads);
     const std::size_t per_window = std::max<std::size_t>(1, budget / jobs);
-    ResidencyGauge local_gauge;
-    ResidencyGauge* gauge = options_.gauge ? options_.gauge : &local_gauge;
+    ResidencyGauge gauge;
 
     std::vector<std::size_t> order(cps.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -447,12 +419,11 @@ Result<FoldStats> DirectFold::fold_query(
     WorkerPool pool(static_cast<unsigned>(jobs));
     for (const std::size_t i : order) {
       pool.submit([this, &plan, &cps, &consumers, &errors, &per, per_window,
-                   gauge, i] {
-        FoldJob job =
-            make_job(cps[i].blocks, cps[i].safe_floor, cps[i].name, &plan);
+                   &gauge, i] {
+        FoldJob job = make_job(plan, cps[i]);
         job.threads = 1;
         if (!cps[i].safe_floor.empty()) job.window = per_window;
-        job.gauge = gauge;
+        job.gauge = &gauge;
         const auto r = run_fold(job, consumers[i]);
         if (!r) {
           errors[i] = r.error_message();
@@ -462,7 +433,7 @@ Result<FoldStats> DirectFold::fold_query(
       });
     }
     pool.wait_idle();
-    agg.peak_resident_blocks = gauge->peak.load(std::memory_order_relaxed);
+    agg.peak_resident_blocks = gauge.peak.load(std::memory_order_relaxed);
     // First failing carrier in sorted order wins, deterministically.
     for (std::size_t i = 0; i < cps.size(); ++i)
       if (!errors[i].empty()) return R::error(errors[i]);
@@ -482,73 +453,6 @@ Result<FoldStats> DirectFold::fold_query(
   if (per_carrier) *per_carrier = std::move(per);
   return agg;
 }
-
-Result<stats::ValueCounts> DirectFold::values(const std::string& carrier,
-                                              config::ParamKey key) const {
-  stats::ValueCounts out;
-  core::CellFolder folder;
-  const auto r = fold_carrier(carrier, [&](std::uint32_t,
-                                           const core::CellRecord& rec) {
-    folder.fold(rec);
-    for (const double v : folder.unique_values(key)) out.add(v);
-  });
-  if (!r) return Result<stats::ValueCounts>::error(r.error_message());
-  return out;
-}
-
-Result<std::map<long, stats::ValueCounts>> DirectFold::values_grouped(
-    const std::string& carrier, config::ParamKey key,
-    const std::function<long(const core::CellRecord&)>& factor) const {
-  std::map<long, stats::ValueCounts> out;
-  core::CellFolder folder;
-  const auto r = fold_carrier(carrier, [&](std::uint32_t,
-                                           const core::CellRecord& rec) {
-    folder.fold(rec);
-    const auto uniq = folder.unique_values(key);
-    // Same contract as the view: `factor` is only consulted for cells that
-    // observed the key at all, and negative factors drop the cell.
-    if (uniq.empty()) return;
-    const long f = factor(rec);
-    if (f < 0) return;
-    stats::ValueCounts& vc = out[f];
-    for (const double v : uniq) vc.add(v);
-  });
-  if (!r) return Result<std::map<long, stats::ValueCounts>>::error(r.error_message());
-  return out;
-}
-
-Result<std::map<long, stats::ValueCounts>> DirectFold::values_by_context(
-    const std::string& carrier, config::ParamKey key) const {
-  std::map<long, stats::ValueCounts> out;
-  core::CellFolder folder;
-  const auto r = fold_carrier(carrier, [&](std::uint32_t,
-                                           const core::CellRecord& rec) {
-    folder.fold(rec);
-    const auto* slice = folder.find(key);
-    if (!slice) return;
-    const auto contexts = folder.ctx_contexts();
-    const auto values = folder.ctx_values();
-    for (std::uint32_t j = slice->ctx_begin; j < slice->ctx_end; ++j)
-      out[static_cast<long>(contexts[j])].add(values[j]);
-  });
-  if (!r) return Result<std::map<long, stats::ValueCounts>>::error(r.error_message());
-  return out;
-}
-
-Result<std::vector<config::ParamKey>> DirectFold::observed_params(
-    const std::string& carrier) const {
-  std::set<config::ParamKey> seen;
-  core::CellFolder folder;
-  const auto r = fold_carrier(carrier, [&](std::uint32_t,
-                                           const core::CellRecord& rec) {
-    folder.fold(rec);
-    for (const auto& slice : folder.keys()) seen.insert(slice.key);
-  });
-  if (!r) return Result<std::vector<config::ParamKey>>::error(r.error_message());
-  return std::vector<config::ParamKey>(seen.begin(), seen.end());
-}
-
-// --- planned overloads -------------------------------------------------------
 
 Result<stats::ValueCounts> DirectFold::values(const std::string& carrier,
                                               config::ParamKey key,
@@ -581,6 +485,8 @@ Result<std::map<long, stats::ValueCounts>> DirectFold::values_grouped(
                                                  const core::CellRecord& rec) {
     folder.fold(rec);
     const auto uniq = folder.unique_values(key);
+    // Same contract as the view: `factor` is only consulted for cells that
+    // observed the key at all, and negative factors drop the cell.
     if (uniq.empty()) return;
     const long f = factor(rec);
     if (f < 0) return;

@@ -1,50 +1,45 @@
 // Shard-direct query folds: answer analysis queries straight off the mapped
-// MMDS v2 blocks, with no ColumnarView (or any other whole-store structure)
-// materialized in between.
+// MMDS v2 blocks, with no database or ColumnarView (or any other whole-store
+// structure) materialized in between.
 //
-// The view path pays for generality: build_columnar parses every block,
-// assembles per-carrier column arrays, and only then answers queries — so
-// peak RSS carries the whole view even when the caller wants one number.
-// DirectFold inverts that: it streams each carrier's blocks through a
-// bounded parse window and hands every *fully merged* cell record to a
-// consumer exactly once, in globally ascending cell-id order.  Queries and
-// the figure entry points (store/analytics.hpp) are folds over that stream,
-// so resident memory is O(window) blocks plus the answer — never the store,
-// never a view.
+// DirectFold streams each carrier's blocks through a bounded parse window
+// and hands every *fully merged* cell record to a consumer exactly once, in
+// globally ascending cell-id order.  Queries and the figure entry points
+// (store/analytics.hpp) are folds over that stream, so resident memory is
+// O(window) blocks plus the answer — never the store.
 //
 // Merge contract (DESIGN.md §12): a cell's runs merge via
 // CellRecord::merge_from in global (shard, block) manifest order — exactly
-// what load_database and build_columnar do — so every downstream product is
-// bit-identical to the view path for any thread count and window size.  The
-// windowing invariant that makes streaming safe: with the manifest's
-// per-block cell-id ranges (Manifest::block_extras), a merged cell may be
-// emitted once its id is below every unparsed block's first_cell — ids
-// within a block lie inside [first_cell, last_cell], so no later block can
+// what load_database does — so every downstream product is bit-identical to
+// the in-memory path for any thread count and window size.  The windowing
+// invariant that makes streaming safe: with the manifest's per-block
+// cell-id ranges (Manifest::block_extras), a merged cell may be emitted
+// once its id is below every unparsed block's first_cell — ids within a
+// block lie inside [first_cell, last_cell], so no later block can
 // contribute another run of it.  Stores without the extras (written before
 // they existed) still fold correctly; they just parse all of a carrier's
 // blocks before emitting (no frontier information) and skip the per-block
 // CRC (no stored block CRC).
 //
-// Planned folds (DESIGN.md §13): a store::QueryPlan narrows a fold to the
-// blocks that can contribute to a query — other carriers' blocks and (with
-// the extras) blocks whose cell-id range misses the query are never mapped,
-// checksummed, or parsed; FoldStats counts what the planner skipped.  A
-// ParamKey predicate additionally pushes down to the wire: filtered
-// observations' 8-byte value payloads are skipped, not decoded.  Filtered
-// folds preserve the merge contract exactly — the metadata tie-break
-// (which run's rat/channel/position wins) is computed over each run's
-// *unfiltered* front observation, so a planned answer is bit-identical to
-// filtering the corresponding full-fold answer.  fold_query schedules the
-// selected carriers as concurrent pool jobs (largest first) under one
-// shared parse-window budget.
+// Every fold is planned (DESIGN.md §13): a store::QueryPlan narrows it to
+// the blocks that can contribute to a query — other carriers' blocks and
+// (with the extras) blocks whose cell-id range misses the query are never
+// mapped, checksummed, or parsed; FoldStats counts what the planner
+// skipped.  A ParamKey predicate additionally pushes down to the wire:
+// filtered observations' 8-byte value payloads are skipped, not decoded.
+// Filtered folds preserve the merge contract exactly — the metadata
+// tie-break (which run's rat/channel/position wins) is computed over each
+// run's *unfiltered* front observation, so a planned answer is
+// bit-identical to filtering the corresponding full-fold answer.
+// fold_query schedules the selected carriers as concurrent pool jobs
+// (largest first) under one shared parse-window budget.
 //
 // Integrity: with the extras present, each block body is checksummed right
-// before parsing (FoldOptions::check_block_crc).  A mismatch — or any
-// structural damage the parser trips on — fails the whole fold; a query
-// never returns a partial answer built from a corrupt prefix.
+// before parsing.  A mismatch — or any structural damage the parser trips
+// on — fails the whole fold; a query never returns a partial answer built
+// from a corrupt prefix.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -60,27 +55,6 @@
 #include "mmlab/util/result.hpp"
 
 namespace mmlab::store {
-
-/// Shared residency accounting for folds that run concurrently (the
-/// cross-carrier scheduler): every participating fold adds its parsed-and-
-/// resident block count here, so `peak` is the high-water mark of the
-/// *total* window across jobs — the number the shared budget bounds.
-struct ResidencyGauge {
-  std::atomic<std::uint64_t> resident{0};
-  std::atomic<std::uint64_t> peak{0};
-
-  void add(std::uint64_t n) {
-    const std::uint64_t now =
-        resident.fetch_add(n, std::memory_order_relaxed) + n;
-    std::uint64_t p = peak.load(std::memory_order_relaxed);
-    while (p < now &&
-           !peak.compare_exchange_weak(p, now, std::memory_order_relaxed)) {
-    }
-  }
-  void sub(std::uint64_t n) {
-    resident.fetch_sub(n, std::memory_order_relaxed);
-  }
-};
 
 struct FoldOptions {
   /// Blocks within the parse window parse concurrently when != 1 (0 = all
@@ -102,14 +76,6 @@ struct FoldOptions {
   /// parses up front regardless.  fold_query treats this as the GLOBAL
   /// budget and splits it across concurrent carrier jobs.
   std::size_t window_blocks = 0;
-  /// Checksum each block body against the manifest's per-block CRC right
-  /// before parsing it.  Only effective when the store carries the extras
-  /// (see FoldStats::crc_checked for what actually happened).
-  bool check_block_crc = true;
-  /// Optional shared residency gauge; every fold run through this engine
-  /// reports its resident-block count there (fold_query supplies its own
-  /// when the caller doesn't).  Must outlive the folds.
-  ResidencyGauge* gauge = nullptr;
 };
 
 struct FoldStats {
@@ -118,8 +84,7 @@ struct FoldStats {
   std::uint64_t blocks = 0;  ///< blocks parsed
   std::uint64_t bytes = 0;   ///< block body bytes parsed
   /// Blocks / bytes the query planner pruned — never mapped or parsed.
-  /// Zero for plain (unplanned) folds; for planned folds this is the
-  /// store-wide count relative to the bound QueryPlan (other carriers'
+  /// The store-wide count relative to the bound QueryPlan (other carriers'
   /// blocks count as skipped — exactly what the plan saved over a full
   /// fold of the store).
   std::uint64_t blocks_skipped = 0;
@@ -129,7 +94,7 @@ struct FoldStats {
   std::uint64_t values_skipped = 0;
   /// Largest number of concurrently parsed-and-resident blocks — the
   /// realized window, i.e. what bounds transient memory.  For fold_query
-  /// this is the gauge peak: the total across concurrent carrier jobs.
+  /// this is the total across concurrent carrier jobs.
   std::uint64_t peak_resident_blocks = 0;
   bool crc_checked = false;  ///< per-block CRCs were verified mid-fold
   double fold_seconds = 0.0;
@@ -163,19 +128,15 @@ class DirectFold {
   using CellConsumer =
       std::function<void(std::uint32_t id, const core::CellRecord& rec)>;
 
-  /// Stream one carrier.  An unknown carrier is an empty success (zero
-  /// stats), matching the view queries' empty-result convention.  Block
-  /// CRC mismatches and structural damage fail the fold; the consumer may
-  /// have seen a prefix of the cells, so callers discard partial
-  /// accumulation on error (every query in this module does).
-  Result<FoldStats> fold_carrier(std::string_view carrier,
-                                 const CellConsumer& consumer) const;
-
   /// Stream one planned carrier: only the plan's selected blocks parse,
   /// and the plan's wire predicates (cell range, param mask) apply.  The
   /// plan must be bound to this engine's ShardSet.  A carrier the plan did
-  /// not select is an empty success.  Returned skip counts are the plan's
-  /// store-wide numbers (see FoldStats).
+  /// not select (or an unknown one) is an empty success with zero fold
+  /// counts, matching the view queries' empty-result convention.  Returned
+  /// skip counts are the plan's store-wide numbers (see FoldStats).  Block
+  /// CRC mismatches and structural damage fail the fold; the consumer may
+  /// have seen a prefix of the cells, so callers discard partial
+  /// accumulation on error (every query in this module does).
   Result<FoldStats> fold_planned(const QueryPlan& plan,
                                  std::string_view carrier,
                                  const CellConsumer& consumer) const;
@@ -203,48 +164,34 @@ class DirectFold {
       std::vector<FoldStats>* per_carrier = nullptr) const;
 
   // --- ConfigDatabase / ColumnarView query equivalents -----------------------
-  // Bit-identical to the same-named ColumnarView queries (property-tested in
-  // test_direct_fold.cpp); each is one fold over the carrier.
-
-  Result<stats::ValueCounts> values(const std::string& carrier,
-                                    config::ParamKey key) const;
-
-  Result<std::map<long, stats::ValueCounts>> values_grouped(
-      const std::string& carrier, config::ParamKey key,
-      const std::function<long(const core::CellRecord&)>& factor) const;
-
-  Result<std::map<long, stats::ValueCounts>> values_by_context(
-      const std::string& carrier, config::ParamKey key) const;
-
-  Result<std::vector<config::ParamKey>> observed_params(
-      const std::string& carrier) const;
-
-  // --- planned overloads ------------------------------------------------------
-  // Same answers as the plain overloads restricted to the query's selection
-  // (property-tested against a pre-filtered in-memory oracle).  `query`'s
-  // carrier list is ignored — the explicit carrier argument wins.  For the
-  // single-key queries (values / values_by_context) an empty query.params
-  // is narrowed to {key}: the answer provably depends on that key alone,
-  // so the fold skips every other parameter's value bytes.  values_grouped
-  // does NOT narrow — its factor may inspect the record's observations —
-  // and observed_params cannot (it asks about all parameters); both still
-  // benefit from carrier/range pruning and any explicit param predicate.
+  // Bit-identical to the same-named ConfigDatabase / ColumnarView queries
+  // restricted to the query's selection (property-tested in
+  // test_direct_fold.cpp and, against a pre-filtered in-memory oracle, in
+  // test_query_plan.cpp); each is one planned fold over the carrier.
+  // `query`'s carrier list is ignored — the explicit carrier argument wins.
+  // For the single-key queries (values / values_by_context) an empty
+  // query.params is narrowed to {key}: the answer provably depends on that
+  // key alone, so the fold skips every other parameter's value bytes.
+  // values_grouped does NOT narrow — its factor may inspect the record's
+  // observations — and observed_params cannot (it asks about all
+  // parameters); both still benefit from carrier/range pruning and any
+  // explicit param predicate.
 
   Result<stats::ValueCounts> values(const std::string& carrier,
                                     config::ParamKey key,
-                                    const Query& query) const;
+                                    const Query& query = {}) const;
 
   Result<std::map<long, stats::ValueCounts>> values_grouped(
       const std::string& carrier, config::ParamKey key,
       const std::function<long(const core::CellRecord&)>& factor,
-      const Query& query) const;
+      const Query& query = {}) const;
 
   Result<std::map<long, stats::ValueCounts>> values_by_context(
       const std::string& carrier, config::ParamKey key,
-      const Query& query) const;
+      const Query& query = {}) const;
 
   Result<std::vector<config::ParamKey>> observed_params(
-      const std::string& carrier, const Query& query) const;
+      const std::string& carrier, const Query& query = {}) const;
 
   /// Cumulative stats over every fold this engine has run (crc_checked and
   /// peak_resident_blocks reflect the whole history: AND and max; planner
@@ -253,22 +200,17 @@ class DirectFold {
   FoldStats stats() const;
 
  private:
-  struct CarrierPlan {
-    std::uint32_t carrier_index = 0;
-    std::vector<std::size_t> blocks;  ///< global indices, manifest order
-    /// safe_floor[i] = min first_cell over blocks[i..] — the emission
-    /// frontier once blocks[0..i) are parsed.  Empty without extras.
-    std::vector<std::uint32_t> safe_floor;
-  };
+  /// Shared residency accounting for fold_query's concurrent jobs (defined
+  /// in direct_fold.cpp).
+  struct ResidencyGauge;
 
   /// One windowed streaming fold, fully parameterized: the shared engine
-  /// under fold_carrier (no filter), fold_planned (plan selection + wire
-  /// predicates) and fold_query's jobs (split window, shared gauge).
+  /// under fold_planned and fold_query's jobs (split window, shared gauge).
   struct FoldJob {
     const std::vector<std::size_t>* blocks = nullptr;
     const std::vector<std::uint32_t>* safe_floor = nullptr;
     std::string_view carrier;               ///< for error messages
-    const std::vector<char>* param_mask = nullptr;  ///< empty/null = all
+    const std::vector<char>* param_mask = nullptr;  ///< empty = all
     std::uint32_t min_cell = 0;
     std::uint32_t max_cell = 0;
     bool filtered = false;  ///< any wire predicate active
@@ -277,17 +219,14 @@ class DirectFold {
     ResidencyGauge* gauge = nullptr;
   };
 
-  FoldJob make_job(const std::vector<std::size_t>& blocks,
-                   const std::vector<std::uint32_t>& safe_floor,
-                   std::string_view carrier, const QueryPlan* plan) const;
+  FoldJob make_job(const QueryPlan& plan, const CarrierQueryPlan& cp) const;
   Result<FoldStats> run_fold(const FoldJob& job,
                              const CellConsumer& consumer) const;
   void accumulate(const FoldStats& fs) const;
 
   const ShardSet* set_;
   FoldOptions options_;
-  std::vector<std::string> names_;   ///< sorted
-  std::vector<CarrierPlan> plans_;   ///< parallel to names_
+  std::vector<std::string> names_;  ///< sorted
   mutable std::mutex stats_mutex_;
   mutable FoldStats stats_;
 };

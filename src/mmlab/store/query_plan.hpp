@@ -22,9 +22,9 @@
 // flags = 0) still plan and fold correctly — carrier pruning works (the
 // carrier index is core manifest data), cell-range pruning degrades to
 // "select every block and drop out-of-range cells at parse time", and the
-// fold runs unwindowed exactly as the plain path does.  Extras are
-// all-or-nothing at the manifest level (see mmds2.hpp), so a plan never
-// mixes prunable and unprunable blocks.
+// fold runs unwindowed (no emission frontier without the id ranges).
+// Extras are all-or-nothing at the manifest level (see mmds2.hpp), so a
+// plan never mixes prunable and unprunable blocks.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,7 @@ namespace mmlab::store {
 struct Query {
   /// Carriers to fold (any order, duplicates ignored); empty = all.
   /// Unknown names are ignored — the planner simply selects nothing for
-  /// them, matching the empty-success convention of fold_carrier.
+  /// them, matching the empty-success convention of fold_planned.
   std::vector<std::string> carriers;
   /// Inclusive cell-id range.
   std::uint32_t min_cell = 0;
@@ -54,11 +54,6 @@ struct Query {
     return min_cell == 0 &&
            max_cell == std::numeric_limits<std::uint32_t>::max();
   }
-  /// No predicate on any axis — a planned fold degenerates to the plain
-  /// full fold (and the entry points take the plain path).
-  bool selects_all() const {
-    return carriers.empty() && params.empty() && all_cells();
-  }
 };
 
 /// One selected carrier's share of a plan.
@@ -66,7 +61,7 @@ struct CarrierQueryPlan {
   std::string name;
   std::uint32_t carrier_index = 0;
   /// Selected global block indices (into ShardSet::blocks()), manifest
-  /// order — the merge order contract is unchanged from the plain fold.
+  /// order — the merge order contract of every fold.
   std::vector<std::size_t> blocks;
   /// safe_floor[i] = min first_cell over blocks[i..] — the emission
   /// frontier over the *selected* subset.  Pruned blocks cannot contain

@@ -98,7 +98,7 @@ void ShardWriter::close_shard() {
   info.file_size = shard_->bytes_written();
   info.crc16 = shard_->crc16();
   stats_.bytes += info.file_size;
-  shard_->flush();
+  shard_->close();
   shard_.reset();
 }
 

@@ -176,6 +176,15 @@ void BufferedFileWriter::flush() {
   fill_ = 0;
 }
 
+void BufferedFileWriter::close() {
+  flush();
+  const bool flushed = std::fflush(file_) == 0;
+  const bool closed = std::fclose(file_) == 0;
+  file_ = nullptr;
+  if (!flushed || !closed)
+    throw std::runtime_error("BufferedFileWriter: write failed: " + path_);
+}
+
 // --- BufferedFileReader ------------------------------------------------------
 
 BufferedFileReader::BufferedFileReader(const std::string& path,

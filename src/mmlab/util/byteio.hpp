@@ -118,8 +118,14 @@ class BufferedFileWriter {
   /// Total bytes accepted by write() — the current file offset once
   /// flushed.  The shard writer records block offsets from this.
   std::uint64_t bytes_written() const { return bytes_written_; }
-  /// Flush buffered bytes to the OS; throws on write failure.
+  /// Hand buffered bytes to stdio; throws on write failure.  This does not
+  /// make them durable or even reach the OS — only close() reports the
+  /// final write.
   void flush();
+  /// Flush, then fclose; throws if any byte failed to reach the OS (e.g. a
+  /// full disk).  The writer is spent afterwards.  Without it the
+  /// destructor still closes the file, but silently.
+  void close();
 
  private:
   std::FILE* file_;

@@ -149,6 +149,18 @@ TEST(ByteIo, BufferedFileRoundTripWithCrc) {
   std::filesystem::remove(path);
 }
 
+TEST(ByteIo, WriterCloseReportsTheFinalWriteOnAFullDisk) {
+  // /dev/full accepts open() and buffered writes, then fails every write
+  // that reaches it with ENOSPC.  flush() only hands bytes to stdio, so the
+  // failure surfaces at close() — which must throw, not swallow it.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  BufferedFileWriter out("/dev/full");
+  const std::string payload(100, 'x');
+  out.write(payload.data(), payload.size());
+  EXPECT_NO_THROW(out.flush());
+  EXPECT_THROW(out.close(), std::runtime_error);
+}
+
 TEST(ByteIo, FileHelpersFailOnMissingFile) {
   std::vector<std::uint8_t> bytes;
   EXPECT_FALSE(read_file_bytes("/nonexistent/path/x.bin", bytes));

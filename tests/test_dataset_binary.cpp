@@ -120,6 +120,12 @@ TEST(DatasetBinary, FileRoundTrip) {
   std::filesystem::remove(path);
 }
 
+TEST(DatasetBinary, SaveToAFullDiskThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(save_dataset_binary(edge_case_db(), "/dev/full"),
+               std::runtime_error);
+}
+
 // --- malformed input ---------------------------------------------------------
 
 std::vector<std::uint8_t> valid_image() {

@@ -1,6 +1,6 @@
 // Shard-direct query folds: DirectFold must answer every analysis question
-// bit-identically to BOTH the out-of-core StoreView and the in-memory
-// ConfigDatabase paths, for any thread count and any parse-window size;
+// bit-identically to the in-memory paths (ConfigDatabase scans and the
+// ColumnarView), for any thread count and any parse-window size;
 // mid-fold corruption (a flipped byte in any block) must surface as an
 // error with no partial answer escaping; manifest block extras round-trip
 // and their absence (legacy flags=0 stores) degrades to the unwindowed
@@ -20,7 +20,6 @@
 #include "mmlab/core/columnar.hpp"
 #include "mmlab/core/database.hpp"
 #include "mmlab/store/analytics.hpp"
-#include "mmlab/store/columnar_build.hpp"
 #include "mmlab/store/direct_fold.hpp"
 #include "mmlab/store/mmds2.hpp"
 #include "mmlab/store/shard_set.hpp"
@@ -169,6 +168,16 @@ void expect_gaps(const core::MeasurementGaps& a, const core::MeasurementGaps& b,
   expect_bits(a.nonintra_minus_slow, b.nonintra_minus_slow, what + " n-s");
 }
 
+/// The whole-carrier stream: one unfiltered planned fold of `carrier`.
+Result<FoldStats> fold_whole(const DirectFold& direct,
+                             const std::string& carrier,
+                             const DirectFold::CellConsumer& consumer) {
+  Query q;
+  q.carriers = {carrier};
+  const QueryPlan plan(direct.shards(), std::move(q));
+  return direct.fold_planned(plan, carrier, consumer);
+}
+
 std::vector<geo::City> test_cities() {
   std::vector<geo::City> cities;
   for (int i = 0; i < 3; ++i) {
@@ -239,12 +248,11 @@ TEST(DirectFold, EntryPointsMatchViewAndInMemoryBitExact) {
   save_small_blocks(db, dir.path());
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
-  auto sv = build_columnar(set.value(), {1, false});
-  ASSERT_TRUE(sv.ok()) << sv.error_message();
+  const core::ColumnarView view(db, 1);
   const auto cities = test_cities();
   const auto spatial_key = config::lte_param(config::ParamId::kServingPriority);
 
-  for (const unsigned threads : {1u, 4u}) {
+  for (const unsigned threads : {1u, 2u, 4u, 0u}) {
     FoldOptions fopts;
     fopts.threads = threads;
     const DirectFold direct(set.value(), fopts);
@@ -254,7 +262,7 @@ TEST(DirectFold, EntryPointsMatchViewAndInMemoryBitExact) {
       // Fig 16/17/22 diversity (both RAT-filtered and not).
       auto div = diversity_by_param(direct, carrier);
       ASSERT_TRUE(div.ok()) << div.error_message();
-      expect_diversity(div.value(), diversity_by_param(sv.value(), carrier),
+      expect_diversity(div.value(), core::diversity_by_param(view, carrier),
                        tag + " div " + carrier);
       expect_diversity(div.value(), core::diversity_by_param(db, carrier),
                        tag + " div-mem " + carrier);
@@ -268,7 +276,7 @@ TEST(DirectFold, EntryPointsMatchViewAndInMemoryBitExact) {
       // Fig 19 dependence.
       auto dep = frequency_dependence(direct, carrier);
       ASSERT_TRUE(dep.ok()) << dep.error_message();
-      expect_dependence(dep.value(), frequency_dependence(sv.value(), carrier),
+      expect_dependence(dep.value(), core::frequency_dependence(view, carrier),
                         tag + " dep " + carrier);
       expect_dependence(dep.value(), core::frequency_dependence(db, carrier),
                         tag + " dep-mem " + carrier);
@@ -278,7 +286,7 @@ TEST(DirectFold, EntryPointsMatchViewAndInMemoryBitExact) {
         auto pri = priority_by_channel(direct, carrier, candidate);
         ASSERT_TRUE(pri.ok()) << pri.error_message();
         expect_counts(pri.value(),
-                      priority_by_channel(sv.value(), carrier, candidate),
+                      core::priority_by_channel(view, carrier, candidate),
                       tag + " pri " + carrier);
         expect_counts(pri.value(),
                       core::priority_by_channel(db, carrier, candidate),
@@ -290,7 +298,7 @@ TEST(DirectFold, EntryPointsMatchViewAndInMemoryBitExact) {
                   core::multi_priority_cell_fraction(db, carrier),
                   tag + " multi " + carrier);
       expect_bits(multi.value(),
-                  multi_priority_cell_fraction(sv.value(), carrier),
+                  core::multi_priority_cell_fraction(view, carrier),
                   tag + " multi-view " + carrier);
 
       // Fig 20 city join.
@@ -339,9 +347,12 @@ TEST(DirectFold, AnalyzeCarrierMatchesStandaloneEntryPoints) {
       config::lte_param(config::ParamId::kServingPriority), cities[0], 8000.0};
 
   for (const auto& carrier : direct.carriers()) {
-    auto mix = analyze_carrier(direct, carrier, mopts);
+    Query one;
+    one.carriers = {carrier};
+    auto mix = analyze_query(direct, one, mopts);
     ASSERT_TRUE(mix.ok()) << mix.error_message();
-    const auto& a = mix.value();
+    ASSERT_EQ(mix.value().carriers, std::vector<std::string>{carrier});
+    const auto& a = mix.value().results.front();
 
     expect_diversity(a.diversity, diversity_by_param(direct, carrier).value(),
                      "mix div");
@@ -367,6 +378,7 @@ TEST(DirectFold, AnalyzeCarrierMatchesStandaloneEntryPoints) {
     expect_gaps(a.gaps, measurement_decision_gaps(direct, carrier).value(),
                 "mix gaps");
     EXPECT_EQ(a.stats.cells, mix.value().stats.cells);
+    EXPECT_EQ(a.stats.rows, mix.value().stats.rows);
     EXPECT_GT(a.stats.rows, 0u);
   }
 }
@@ -382,8 +394,8 @@ TEST(DirectFold, UnknownCarrierYieldsEmptySuccess) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().empty());
   std::size_t calls = 0;
-  auto fr = direct.fold_carrier("NOPE", [&](std::uint32_t,
-                                            const core::CellRecord&) {
+  auto fr = fold_whole(direct, "NOPE", [&](std::uint32_t,
+                                           const core::CellRecord&) {
     ++calls;
   });
   ASSERT_TRUE(fr.ok());
@@ -411,8 +423,8 @@ TEST(DirectFold, ResidencyStaysWithinTheParseWindow) {
     fopts.window_blocks = window;
     const DirectFold direct(set.value(), fopts);
     for (const auto& carrier : direct.carriers()) {
-      auto r = direct.fold_carrier(carrier,
-                                   [](std::uint32_t, const core::CellRecord&) {});
+      auto r = fold_whole(direct, carrier,
+                          [](std::uint32_t, const core::CellRecord&) {});
       ASSERT_TRUE(r.ok()) << r.error_message();
       EXPECT_LE(r.value().peak_resident_blocks, window)
           << carrier << " window " << window;
@@ -493,23 +505,6 @@ TEST(DirectFold, CorruptByteInAnyBlockRejectsTheFoldWithNoPartialAnswer) {
   }
 }
 
-TEST(DirectFold, CrcCheckingCanBeDisabledForTrustedStores) {
-  // build_columnar runs with check_block_crc=false (verify() owns payload
-  // integrity there); the flag must actually bypass the mid-fold check.
-  StoreDir dir("nocrc");
-  save_small_blocks(random_db(61, 1, 30), dir.path());
-  auto set = ShardSet::open(dir.path());
-  ASSERT_TRUE(set.ok());
-  FoldOptions fopts;
-  fopts.check_block_crc = false;
-  const DirectFold direct(set.value(), fopts);
-  EXPECT_FALSE(direct.stats().crc_checked);
-  auto r = direct.fold_carrier("C0",
-                               [](std::uint32_t, const core::CellRecord&) {});
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r.value().crc_checked);
-}
-
 // --- manifest extras -----------------------------------------------------------
 
 TEST(DirectFold, ManifestExtrasRoundTripAndMatchTheBlocks) {
@@ -530,8 +525,8 @@ TEST(DirectFold, ManifestExtrasRoundTripAndMatchTheBlocks) {
   const DirectFold direct(set.value(), {});
   std::uint64_t cells = 0;
   for (const auto& carrier : direct.carriers()) {
-    auto r = direct.fold_carrier(
-        carrier, [&](std::uint32_t, const core::CellRecord&) { ++cells; });
+    auto r = fold_whole(
+        direct, carrier, [&](std::uint32_t, const core::CellRecord&) { ++cells; });
     ASSERT_TRUE(r.ok()) << r.error_message();
     EXPECT_TRUE(r.value().crc_checked);
   }
@@ -540,7 +535,8 @@ TEST(DirectFold, ManifestExtrasRoundTripAndMatchTheBlocks) {
 
 TEST(DirectFold, LegacyStoresWithoutExtrasFoldIdentically) {
   // A flags=0 manifest (pre-extras stores) must still fold — unwindowed,
-  // CRC deferred to verify() — with bit-identical results.
+  // CRC deferred to verify() — with bit-identical results, for every
+  // thread count.
   StoreDir dir("legacy");
   const auto db = random_db(71, 2, 50, 3);
   save_small_blocks(db, dir.path());
@@ -565,7 +561,8 @@ TEST(DirectFold, LegacyStoresWithoutExtrasFoldIdentically) {
   auto legacy_set = ShardSet::open(dir.path());
   ASSERT_TRUE(legacy_set.ok()) << legacy_set.error_message();
   EXPECT_FALSE(legacy_set.value().manifest().block_extras);
-  for (const unsigned threads : {1u, 4u}) {
+  const core::ColumnarView reference(db, 1);
+  for (const unsigned threads : {1u, 2u, 4u, 0u}) {
     FoldOptions fopts;
     fopts.threads = threads;
     const DirectFold legacy(legacy_set.value(), fopts);
@@ -574,17 +571,20 @@ TEST(DirectFold, LegacyStoresWithoutExtrasFoldIdentically) {
       auto r = legacy.values(carrier, serving);
       ASSERT_TRUE(r.ok()) << r.error_message();
       EXPECT_EQ(r.value(), expected[carrier]) << carrier;
+      EXPECT_EQ(r.value(), reference.values(carrier, serving)) << carrier;
+      auto div = diversity_by_param(legacy, carrier);
+      ASSERT_TRUE(div.ok()) << div.error_message();
+      expect_diversity(div.value(), core::diversity_by_param(reference, carrier),
+                       "legacy threads=" + std::to_string(threads));
     }
     // Unwindowed: the whole carrier is resident at once.
-    auto fr = legacy.fold_carrier(legacy.carriers()[0],
-                                  [](std::uint32_t, const core::CellRecord&) {});
+    auto fr = fold_whole(legacy, legacy.carriers()[0],
+                         [](std::uint32_t, const core::CellRecord&) {});
     ASSERT_TRUE(fr.ok());
     EXPECT_FALSE(fr.value().crc_checked);
   }
 
-  // The legacy store must also still build a view and load.
-  auto sv = build_columnar(legacy_set.value(), {2, false});
-  ASSERT_TRUE(sv.ok()) << sv.error_message();
+  // The legacy store must also still load.
   core::ConfigDatabase loaded;
   ASSERT_TRUE(load_database(legacy_set.value(), loaded, 2).ok());
   EXPECT_EQ(loaded, db);
@@ -622,9 +622,11 @@ TEST(DirectFold, UnknownManifestFlagBitsAreRejected) {
       << r.error_message();
 }
 
-// --- parallel view build -------------------------------------------------------
+// --- block-parallel folds ------------------------------------------------------
 
 TEST(StoreBuildParallel, ManyBlockBuildIsThreadCountInvariant) {
+  // Hundreds of small blocks: the intra-carrier parse fan-out carries the
+  // work, and the answers must not depend on the thread count.
   StoreDir dir("build");
   const auto db = random_db(79, 4, 80, 3);
   save_small_blocks(db, dir.path());
@@ -635,23 +637,30 @@ TEST(StoreBuildParallel, ManyBlockBuildIsThreadCountInvariant) {
   const core::ColumnarView reference(db, 1);
   const auto serving = config::lte_param(config::ParamId::kServingPriority);
   for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-    BuildOptions bopts;
-    bopts.threads = threads;
-    bopts.release_mapped = true;
-    auto sv = build_columnar(set.value(), bopts);
-    ASSERT_TRUE(sv.ok()) << sv.error_message();
-    EXPECT_EQ(sv.value().stats.rows, db.total_samples());
-    ASSERT_EQ(sv.value().view.carriers().size(), reference.carriers().size());
+    FoldOptions fopts;
+    fopts.threads = threads;
+    const DirectFold direct(set.value(), fopts);
+    ASSERT_EQ(direct.carriers().size(), reference.carriers().size());
+    std::uint64_t rows = 0;
     for (const auto& carrier : reference.carriers()) {
-      EXPECT_EQ(sv.value().view.values(carrier.name, serving),
-                reference.values(carrier.name, serving))
+      auto values = direct.values(carrier.name, serving);
+      ASSERT_TRUE(values.ok()) << values.error_message();
+      EXPECT_EQ(values.value(), reference.values(carrier.name, serving))
           << "threads " << threads;
-      EXPECT_EQ(sv.value().view.observed_params(carrier.name),
-                reference.observed_params(carrier.name));
-      expect_diversity(diversity_by_param(sv.value(), carrier.name),
+      auto observed = direct.observed_params(carrier.name);
+      ASSERT_TRUE(observed.ok()) << observed.error_message();
+      EXPECT_EQ(observed.value(), reference.observed_params(carrier.name));
+      auto div = diversity_by_param(direct, carrier.name);
+      ASSERT_TRUE(div.ok()) << div.error_message();
+      expect_diversity(div.value(),
                        core::diversity_by_param(reference, carrier.name),
-                       "build threads=" + std::to_string(threads));
+                       "fold threads=" + std::to_string(threads));
+      auto whole = fold_whole(direct, carrier.name,
+                              [](std::uint32_t, const core::CellRecord&) {});
+      ASSERT_TRUE(whole.ok()) << whole.error_message();
+      rows += whole.value().rows;
     }
+    EXPECT_EQ(rows, db.total_samples());
   }
 }
 

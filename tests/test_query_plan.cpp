@@ -238,7 +238,6 @@ TEST(QueryPlan, CarrierPredicateSelectsExactlyThatCarriersBlocks) {
 
   Query all;
   const QueryPlan full(set.value(), all);
-  EXPECT_TRUE(full.query().selects_all());
   EXPECT_EQ(full.blocks_skipped(), 0u);
   EXPECT_EQ(full.blocks_selected(), set.value().blocks().size());
 
@@ -325,7 +324,7 @@ TEST(QueryPlan, PlannedFoldsMatchFilteredOracleAcrossPredicatesThreadsWindows) {
   };
 
   std::vector<Query> queries;
-  queries.emplace_back();  // no predicate: planned path == plain path
+  queries.emplace_back();  // no predicate: the whole store
   {
     Query q;
     q.carriers = {"C0", "C2"};
@@ -398,7 +397,7 @@ TEST(QueryPlan, PlannedFoldsMatchFilteredOracleAcrossPredicatesThreadsWindows) {
           ASSERT_TRUE(observed.ok()) << observed.error_message();
           EXPECT_EQ(observed.value(), oracle.observed_params(carrier)) << tag;
 
-          auto div = diversity_by_param(direct, carrier, query);
+          auto div = diversity_by_param(direct, carrier, std::nullopt, query);
           ASSERT_TRUE(div.ok()) << div.error_message();
           expect_diversity(div.value(),
                            core::diversity_by_param(oracle_db, carrier),
@@ -410,7 +409,7 @@ TEST(QueryPlan, PlannedFoldsMatchFilteredOracleAcrossPredicatesThreadsWindows) {
                         core::priority_by_channel(oracle_db, carrier, false),
                         tag + " pri " + carrier);
 
-          auto gaps = measurement_decision_gaps(direct, query, carrier);
+          auto gaps = measurement_decision_gaps(direct, carrier, query);
           ASSERT_TRUE(gaps.ok()) << gaps.error_message();
           expect_gaps(gaps.value(),
                       core::measurement_decision_gaps(oracle_db, carrier),
@@ -601,13 +600,18 @@ TEST(CrossCarrier, ScheduledSubsetQueryMatchesPerCarrierPlannedFolds) {
   ASSERT_TRUE(qa.ok()) << qa.error_message();
   ASSERT_EQ(qa.value().carriers, (std::vector<std::string>{"C1", "C3"}));
   for (std::size_t i = 0; i < qa.value().carriers.size(); ++i) {
-    auto solo = analyze_carrier(direct, qa.value().carriers[i], MixOptions{},
-                                query);
+    // One selected carrier: fold_query's sequential branch, with the
+    // engine's 4 threads parsing that carrier's blocks.
+    Query one = query;
+    one.carriers = {qa.value().carriers[i]};
+    auto solo = analyze_query(direct, one, MixOptions{});
     ASSERT_TRUE(solo.ok()) << solo.error_message();
-    expect_diversity(qa.value().results[i].diversity, solo.value().diversity,
+    ASSERT_EQ(solo.value().results.size(), 1u);
+    expect_diversity(qa.value().results[i].diversity,
+                     solo.value().results[0].diversity,
                      "subset " + qa.value().carriers[i]);
     expect_counts(qa.value().results[i].serving_priority,
-                  solo.value().serving_priority,
+                  solo.value().results[0].serving_priority,
                   "subset " + qa.value().carriers[i]);
   }
   // Aggregate stats carry the plan's store-wide skip accounting; each
@@ -668,31 +672,6 @@ TEST(CrossCarrier, SharedWindowBudgetBoundsTotalConcurrentResidency) {
     EXPECT_LE(r.value().peak_resident_blocks, budget) << "budget " << budget;
     EXPECT_EQ(r.value().blocks, set.value().blocks().size());
   }
-}
-
-TEST(CrossCarrier, CallerSuppliedGaugeSeesTheSchedulersResidency) {
-  StoreDir dir("gauge");
-  const auto db = random_db(151, 3, 60, 2);
-  save_small_blocks(db, dir.path());
-  auto set = ShardSet::open(dir.path());
-  ASSERT_TRUE(set.ok());
-
-  ResidencyGauge gauge;
-  FoldOptions fopts;
-  fopts.threads = 3;
-  fopts.window_blocks = 6;
-  fopts.gauge = &gauge;
-  const DirectFold direct(set.value(), fopts);
-  const QueryPlan plan(set.value(), Query{});
-  auto r = direct.fold_query(plan, [](std::size_t, const CarrierQueryPlan&) {
-    return [](std::uint32_t, const core::CellRecord&) {};
-  });
-  ASSERT_TRUE(r.ok()) << r.error_message();
-  EXPECT_EQ(r.value().peak_resident_blocks,
-            gauge.peak.load(std::memory_order_relaxed));
-  EXPECT_GT(gauge.peak.load(std::memory_order_relaxed), 0u);
-  // Everything parsed was released: the gauge drains back to zero.
-  EXPECT_EQ(gauge.resident.load(std::memory_order_relaxed), 0u);
 }
 
 TEST(CrossCarrier, PlanBoundToAnotherStoreIsRejected) {

@@ -2,6 +2,8 @@
 // threshold regime — the decision table, exhaustively.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "mmlab/ue/reselection.hpp"
 
 namespace mmlab::ue {
@@ -15,6 +17,14 @@ struct RankingCase {
   double candidate_srxlev;
   bool expect_ranks_higher;
 };
+
+// Without this, gtest prints the raw bytes of the case — a string-literal
+// address that ASLR moves on every run, plus padding — into the listed test
+// name, so the discovered CTest names differ between builds.
+void PrintTo(const RankingCase& c, std::ostream* os) {
+  *os << c.serving_priority << "->" << c.candidate_priority << " @ "
+      << c.serving_srxlev << "->" << c.candidate_srxlev << " dB";
+}
 
 class RankingSweep : public ::testing::TestWithParam<RankingCase> {};
 

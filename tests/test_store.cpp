@@ -1,8 +1,8 @@
 // MMDS v2 out-of-core store: property-based round-trips (random database ->
 // sharded store -> load is bit-exact; chunk size and thread count never
-// change results), out-of-core columnar equivalence against the in-memory
-// view, manifest/shard corruption rejection, and the streaming generator's
-// determinism contract against generate_world.
+// change results), shard-direct answers against the in-memory view on
+// generated data, manifest/shard corruption rejection, and the streaming
+// generator's determinism contract against generate_world.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,7 +18,6 @@
 #include "mmlab/netgen/generator.hpp"
 #include "mmlab/netgen/streamgen.hpp"
 #include "mmlab/store/analytics.hpp"
-#include "mmlab/store/columnar_build.hpp"
 #include "mmlab/store/mmds2.hpp"
 #include "mmlab/store/shard_set.hpp"
 #include "mmlab/store/shard_writer.hpp"
@@ -195,81 +194,9 @@ TEST(StoreRoundTrip, ChunkSizeNeverChangesTheStore) {
   }
 }
 
-/// Bit-level equality of two view carriers, ignoring the raw observation
-/// columns (dropped on the out-of-core path by design) and rec pointers
-/// (compared through the metadata they point at).
-void expect_carriers_identical(const core::ColumnarView::Carrier& a,
-                               const core::ColumnarView::Carrier& b) {
-  EXPECT_EQ(a.name, b.name);
-  ASSERT_EQ(a.cells.size(), b.cells.size());
-  for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    EXPECT_EQ(a.cells[i].id, b.cells[i].id);
-    EXPECT_EQ(a.cells[i].span_begin, b.cells[i].span_begin);
-    EXPECT_EQ(a.cells[i].span_end, b.cells[i].span_end);
-    ASSERT_NE(a.cells[i].rec, nullptr);
-    ASSERT_NE(b.cells[i].rec, nullptr);
-    EXPECT_EQ(a.cells[i].rec->rat, b.cells[i].rec->rat);
-    EXPECT_EQ(a.cells[i].rec->channel, b.cells[i].rec->channel);
-    EXPECT_EQ(a.cells[i].rec->position.x, b.cells[i].rec->position.x);
-    EXPECT_EQ(a.cells[i].rec->position.y, b.cells[i].rec->position.y);
-  }
-  ASSERT_EQ(a.spans.size(), b.spans.size());
-  for (std::size_t i = 0; i < a.spans.size(); ++i) {
-    EXPECT_EQ(a.spans[i].key, b.spans[i].key);
-    EXPECT_EQ(a.spans[i].cell, b.spans[i].cell);
-    EXPECT_EQ(a.spans[i].begin, b.spans[i].begin);
-    EXPECT_EQ(a.spans[i].end, b.spans[i].end);
-    EXPECT_EQ(a.spans[i].uniq_begin, b.spans[i].uniq_begin);
-    EXPECT_EQ(a.spans[i].uniq_end, b.spans[i].uniq_end);
-    EXPECT_EQ(a.spans[i].ctx_begin, b.spans[i].ctx_begin);
-    EXPECT_EQ(a.spans[i].ctx_end, b.spans[i].ctx_end);
-    EXPECT_EQ(a.spans[i].has_latest, b.spans[i].has_latest);
-    if (a.spans[i].has_latest) {
-      EXPECT_EQ(a.spans[i].latest, b.spans[i].latest);
-    }
-  }
-  EXPECT_EQ(a.uniq_col, b.uniq_col);
-  EXPECT_EQ(a.ctx_context_col, b.ctx_context_col);
-  EXPECT_EQ(a.ctx_value_col, b.ctx_value_col);
-  EXPECT_EQ(a.observed, b.observed);
-  EXPECT_EQ(a.spans_by_key, b.spans_by_key);
-  ASSERT_EQ(a.key_ranges.size(), b.key_ranges.size());
-  for (std::size_t i = 0; i < a.key_ranges.size(); ++i) {
-    EXPECT_EQ(a.key_ranges[i].begin, b.key_ranges[i].begin);
-    EXPECT_EQ(a.key_ranges[i].end, b.key_ranges[i].end);
-  }
-  EXPECT_EQ(a.key_totals, b.key_totals);
-}
-
-TEST(StoreColumnar, OutOfCoreViewMatchesInMemory) {
-  StoreDir dir("columnar");
-  const auto db = random_db(21, 5, 50, 4);
-  WriterOptions wopts;
-  wopts.target_block_bytes = 1024;
-  wopts.target_shard_bytes = 4096;
-  save_database(db, dir.path(), wopts);
-  auto set = ShardSet::open(dir.path());
-  ASSERT_TRUE(set.ok()) << set.error_message();
-
-  const core::ColumnarView reference(db, 1);
-  for (unsigned threads : {1u, 2u, 4u}) {
-    BuildOptions bopts;
-    bopts.threads = threads;
-    bopts.release_mapped = false;
-    auto sv = build_columnar(set.value(), bopts);
-    ASSERT_TRUE(sv.ok()) << sv.error_message();
-    const auto& view = sv.value().view;
-    ASSERT_EQ(view.carriers().size(), reference.carriers().size());
-    for (std::size_t i = 0; i < view.carriers().size(); ++i)
-      expect_carriers_identical(view.carriers()[i], reference.carriers()[i]);
-    EXPECT_EQ(sv.value().stats.rows, db.total_samples());
-    EXPECT_EQ(view.total_observations(), reference.total_observations());
-  }
-}
-
 TEST(StoreColumnar, ChunkedStreamFromGeneratorMatchesDirectDatabase) {
   // End to end on real generated data: stream_world -> chunked v2 store ->
-  // out-of-core view must answer the analysis queries exactly like a
+  // shard-direct folds must answer the analysis queries exactly like a
   // database assembled by add_snapshot-ing the identical stream.
   class Both final : public netgen::SnapshotSink {
    public:
@@ -311,20 +238,26 @@ TEST(StoreColumnar, ChunkedStreamFromGeneratorMatchesDirectDatabase) {
   ASSERT_TRUE(load_database(set.value(), loaded, 2).ok());
   EXPECT_EQ(loaded, db);
 
-  auto sv = build_columnar(set.value(), {2, false});
-  ASSERT_TRUE(sv.ok()) << sv.error_message();
+  FoldOptions fopts;
+  fopts.threads = 2;
+  fopts.release_mapped = false;
+  const DirectFold direct(set.value(), fopts);
   const core::ColumnarView reference(db, 1);
   for (const auto& carrier : reference.carriers()) {
     const auto ref_div = core::diversity_by_param(reference, carrier.name);
-    const auto ooc_div = store::diversity_by_param(sv.value(), carrier.name);
+    const auto div = store::diversity_by_param(direct, carrier.name);
+    ASSERT_TRUE(div.ok()) << div.error_message();
+    const auto& ooc_div = div.value();
     ASSERT_EQ(ref_div.size(), ooc_div.size()) << carrier.name;
     for (std::size_t i = 0; i < ref_div.size(); ++i) {
       EXPECT_EQ(ref_div[i].key, ooc_div[i].key);
       EXPECT_EQ(ref_div[i].measures.richness, ooc_div[i].measures.richness);
       EXPECT_EQ(ref_div[i].cells, ooc_div[i].cells);
     }
+    const auto pri = store::priority_by_channel(direct, carrier.name, false);
+    ASSERT_TRUE(pri.ok()) << pri.error_message();
     EXPECT_EQ(core::priority_by_channel(reference, carrier.name, false, 1),
-              store::priority_by_channel(sv.value(), carrier.name, false, 2));
+              pri.value());
   }
 }
 

@@ -359,8 +359,8 @@ int report_direct(const CliOptions& opts) {
                                   : qa.value().carriers.front();
   std::printf("\ndiversity report for %s (sorted by Simpson index):\n",
               carrier.c_str());
-  auto div = store::diversity_by_param(direct, carrier, query,
-                                       spectrum::Rat::kLte);
+  auto div = store::diversity_by_param(direct, carrier, spectrum::Rat::kLte,
+                                       query);
   if (!div.ok()) {
     std::fprintf(stderr, "error: %s\n", div.error_message().c_str());
     return 1;
