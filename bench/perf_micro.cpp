@@ -704,7 +704,6 @@ void BM_StoreDirectFold(benchmark::State& state) {
     auto set = store::ShardSet::open(dir);
     store::FoldOptions fopts;
     fopts.threads = threads;
-    fopts.release_mapped = false;  // page cache stays warm across iterations
     const store::DirectFold direct(set.value(), fopts);
     std::uint64_t cells = 0;
     for (const auto& carrier : direct.carriers()) {
@@ -736,7 +735,6 @@ void BM_StoreDirectFoldPlanned(benchmark::State& state) {
     auto set = store::ShardSet::open(dir);
     store::FoldOptions fopts;
     fopts.threads = threads;
-    fopts.release_mapped = false;
     const store::DirectFold direct(set.value(), fopts);
     const std::string& carrier = direct.carriers().front();
     store::Query q;
@@ -764,7 +762,6 @@ void BM_StoreCrossCarrierFold(benchmark::State& state) {
     auto set = store::ShardSet::open(dir);
     store::FoldOptions fopts;
     fopts.threads = threads;
-    fopts.release_mapped = false;
     const store::DirectFold direct(set.value(), fopts);
     store::MixOptions mopts;
     mopts.cities = cities;

@@ -35,7 +35,8 @@ int main() {
   const net::Cell* predicted_for = nullptr;
   std::size_t warnings = 0, predicted_handoffs = 0, handoffs_seen = 0;
   std::vector<double> lead_times_ms;
-  std::optional<SimTime> first_warning;
+  // Time of the first warning in the current run of warnings; -1 = none.
+  Millis first_warning_ms = -1;
 
   for (Millis t = 0; t <= route.duration(); t += 100) {
     const auto pos = route.position_at(t);
@@ -48,16 +49,15 @@ int main() {
       // New serving cell: if a handoff just executed, score the prediction.
       if (handoffs_before != device.handoffs().size()) {
         ++handoffs_seen;
-        if (first_warning) {
+        if (first_warning_ms >= 0) {
           ++predicted_handoffs;
-          lead_times_ms.push_back(
-              static_cast<double>(SimTime{t} - *first_warning));
+          lead_times_ms.push_back(static_cast<double>(t - first_warning_ms));
         }
       }
       predictor = std::make_unique<core::HandoffPredictor>(
           serving->lte_config);
       predicted_for = serving;
-      first_warning.reset();
+      first_warning_ms = -1;
       continue;
     }
 
@@ -80,9 +80,9 @@ int main() {
         predictor->update(SimTime{t}, serving_meas, neighbors);
     if (prediction.imminent) {
       ++warnings;
-      if (!first_warning) first_warning = SimTime{t};
+      if (first_warning_ms < 0) first_warning_ms = t;
     } else {
-      first_warning.reset();
+      first_warning_ms = -1;
     }
   }
 

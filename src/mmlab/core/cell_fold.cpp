@@ -40,8 +40,6 @@ void CellFolder::fold(const CellRecord& rec) {
 
     KeySlice slice;
     slice.key = order_[lo].first;
-    slice.obs_begin = static_cast<std::uint32_t>(lo);
-    slice.obs_end = static_cast<std::uint32_t>(hi);
     // Same tie-break as CellRecord::latest: the *last* max-t observation
     // in original order wins, and t below the -1 sentinel never counts.
     SimTime best_t{-1};

@@ -3,9 +3,9 @@
 //
 // Given one cell's merged observation record, CellFolder derives the exact
 // per-(cell, parameter) products the columnar engine precomputes at build
-// time: key-grouped observation order, first-seen unique values, unique
-// (context, value) pairs (context >= 0 only), and the latest value under
-// CellRecord::latest's tie-break.  The ColumnarView build copies the
+// time: first-seen unique values, unique (context, value) pairs
+// (context >= 0 only), and the latest value under CellRecord::latest's
+// tie-break, grouped by parameter key.  The ColumnarView build copies the
 // products into its carrier columns; the shard-direct query path
 // (store::DirectFold) consumes them straight off a merged shard record and
 // discards the cell — both answers are bit-identical by construction because
@@ -66,13 +66,10 @@ inline constexpr std::size_t kLinearDedupLimit = 64;
 
 class CellFolder {
  public:
-  /// One parameter's products: [obs_begin, obs_end) into grouped_order()
-  /// (the cell's observations of this key, original order preserved),
-  /// [uniq_begin, uniq_end) into unique_values(), [ctx_begin, ctx_end)
-  /// into ctx_contexts()/ctx_values().
+  /// One parameter's products: [uniq_begin, uniq_end) into
+  /// unique_values(), [ctx_begin, ctx_end) into ctx_contexts()/ctx_values().
   struct KeySlice {
     config::ParamKey key;
-    std::uint32_t obs_begin = 0, obs_end = 0;
     std::uint32_t uniq_begin = 0, uniq_end = 0;
     std::uint32_t ctx_begin = 0, ctx_end = 0;
     double latest = 0.0;      ///< valid only when has_latest
@@ -86,12 +83,6 @@ class CellFolder {
 
   /// Slices in ascending key order (one per observed parameter).
   std::span<const KeySlice> keys() const { return keys_; }
-  /// (key, original observation index) pairs, key-ascending and
-  /// order-preserving within a key — the span layout of the cell.
-  std::span<const std::pair<config::ParamKey, std::uint32_t>> grouped_order()
-      const {
-    return order_;
-  }
   std::span<const double> unique_values() const { return uniq_; }
   std::span<const std::int64_t> ctx_contexts() const { return ctx_context_; }
   std::span<const double> ctx_values() const { return ctx_value_; }
@@ -103,6 +94,8 @@ class CellFolder {
 
  private:
   std::vector<KeySlice> keys_;
+  /// (key, original observation index) pairs, key-ascending and
+  /// order-preserving within a key: fold()'s grouping buffer.
   std::vector<std::pair<config::ParamKey, std::uint32_t>> order_;
   std::vector<double> uniq_;
   std::vector<std::int64_t> ctx_context_;

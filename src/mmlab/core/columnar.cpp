@@ -50,12 +50,7 @@ class CarrierAssembler {
 
   explicit CarrierAssembler(std::string name) { out_.name = std::move(name); }
 
-  void reserve(std::size_t cells, std::size_t rows) {
-    out_.cells.reserve(cells);
-    out_.value_col.reserve(rows);
-    out_.time_col.reserve(rows);
-    out_.context_col.reserve(rows);
-  }
+  void reserve(std::size_t cells) { out_.cells.reserve(cells); }
 
   /// Feed one cell.  `id` must ascend across calls; `rec` must outlive the
   /// finished carrier (Cell::rec points at it for metadata).
@@ -68,7 +63,6 @@ class CarrierAssembler {
     // The kernel computes the per-cell products; this method only
     // relocates its output into the carrier columns.
     folder_.fold(rec);
-    const auto order = folder_.grouped_order();
     const std::uint32_t uniq_base = static_cast<std::uint32_t>(
         out_.uniq_col.size());
     const std::uint32_t ctx_base = static_cast<std::uint32_t>(
@@ -79,23 +73,14 @@ class CarrierAssembler {
       Span span;
       span.key = slice.key;
       span.cell = static_cast<std::uint32_t>(out_.cells.size());
-      span.begin = static_cast<std::uint32_t>(next_row_) + slice.obs_begin;
-      span.end = static_cast<std::uint32_t>(next_row_) + slice.obs_end;
       span.uniq_begin = uniq_base + slice.uniq_begin;
       span.uniq_end = uniq_base + slice.uniq_end;
       span.ctx_begin = ctx_base + slice.ctx_begin;
       span.ctx_end = ctx_base + slice.ctx_end;
       span.latest = slice.latest;
       span.has_latest = slice.has_latest;
-      for (std::uint32_t j = slice.obs_begin; j < slice.obs_end; ++j) {
-        const Observation& obs = rec.observations[order[j].second];
-        out_.value_col.push_back(obs.value);
-        out_.time_col.push_back(obs.t);
-        out_.context_col.push_back(obs.context);
-      }
       out_.spans.push_back(span);
     }
-    next_row_ += order.size();
 
     const auto uniq = folder_.unique_values();
     out_.uniq_col.insert(out_.uniq_col.end(), uniq.begin(), uniq.end());
@@ -155,7 +140,6 @@ class CarrierAssembler {
 
  private:
   Carrier out_;
-  std::uint64_t next_row_ = 0;
   std::set<config::ParamKey> observed_;
   CellFolder folder_;
 };
@@ -164,9 +148,7 @@ void build_carrier(const std::string& name,
                    const ConfigDatabase::CellMap& cells,
                    ColumnarView::Carrier& out) {
   CarrierAssembler assembler(name);
-  std::size_t total_obs = 0;
-  for (const auto& [id, rec] : cells) total_obs += rec.observations.size();
-  assembler.reserve(cells.size(), total_obs);
+  assembler.reserve(cells.size());
   // The database outlives the view (class contract), so records are stable
   // and no metadata copy is needed.
   for (const auto& [id, rec] : cells) assembler.add_cell(id, rec);
@@ -215,11 +197,9 @@ std::size_t ColumnarView::total_cells() const {
 }
 
 std::size_t ColumnarView::total_observations() const {
-  // Span row ranges cover every observation back-to-back, so the last
-  // span's end IS the carrier's row count.
   std::size_t n = 0;
   for (const auto& c : carriers_)
-    n += c.spans.empty() ? 0 : c.spans.back().end;
+    for (const auto& cell : c.cells) n += cell.rec->observations.size();
   return n;
 }
 

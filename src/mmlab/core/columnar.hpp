@@ -9,13 +9,12 @@
 // the same queries from precomputed per-(cell, parameter) column spans:
 //
 //   * carrier names are interned to dense indices (carriers_[i].name),
-//   * each cell's observations are grouped into per-ParamKey spans over
-//     contiguous value/t/context columns (original observation order is
-//     preserved *within* a span — first-seen dedup order and latest-wins
-//     tie-breaking depend on it),
-//   * per-span unique values, unique (context, value) pairs and the latest
-//     value are precomputed at build time, so a query touches O(answer)
-//     data instead of O(total observations),
+//   * each cell's observations are grouped into per-ParamKey spans whose
+//     unique values, unique (context, value) pairs and latest value are
+//     precomputed at build time (first-seen dedup order and latest-wins
+//     tie-breaking follow the original observation order), so a query
+//     touches O(answer) data instead of O(total observations) — the raw
+//     observations themselves are never copied,
 //   * an inverted span index (spans_by_key / key_ranges) lets whole-carrier
 //     single-key queries walk only the matching spans, and the per-key
 //     whole-carrier values() aggregate is materialized outright.
@@ -48,15 +47,13 @@ namespace mmlab::core {
 
 class ColumnarView {
  public:
-  /// One cell's observations of one parameter: [begin, end) into the
-  /// carrier's value/time/context columns (original observation order),
-  /// [uniq_begin, uniq_end) into the unique-values column (first-seen
-  /// order), [ctx_begin, ctx_end) into the unique (context, value) columns
-  /// (context-ascending, context >= 0 only).
+  /// One cell's observations of one parameter: [uniq_begin, uniq_end) into
+  /// the unique-values column (first-seen order), [ctx_begin, ctx_end) into
+  /// the unique (context, value) columns (first-seen order, context >= 0
+  /// only).
   struct Span {
     config::ParamKey key;
     std::uint32_t cell = 0;  ///< index into Carrier::cells (owning cell)
-    std::uint32_t begin = 0, end = 0;
     std::uint32_t uniq_begin = 0, uniq_end = 0;
     std::uint32_t ctx_begin = 0, ctx_end = 0;
     double latest = 0.0;      ///< valid only when has_latest
@@ -80,17 +77,13 @@ class ColumnarView {
   };
 
   /// One interned carrier: cells ascending by cell id, all columns
-  /// contiguous.  Span [begin, end) row ranges index the raw
-  /// per-observation columns (value_col / time_col / context_col); every
-  /// precomputed query product (spans, uniq_col, the ctx columns, latest,
-  /// key_totals) is derived from them at build time.
+  /// contiguous.  Every precomputed query product (spans, uniq_col, the ctx
+  /// columns, latest, key_totals) is derived from the cells' records at
+  /// build time.
   struct Carrier {
     std::string name;
     std::vector<Cell> cells;
     std::vector<Span> spans;
-    std::vector<double> value_col;
-    std::vector<SimTime> time_col;
-    std::vector<std::int64_t> context_col;
     std::vector<double> uniq_col;
     std::vector<std::int64_t> ctx_context_col;
     std::vector<double> ctx_value_col;

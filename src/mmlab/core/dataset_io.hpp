@@ -110,13 +110,6 @@ std::size_t parse_cell(ByteReader& r, const std::string& carrier,
                        const std::vector<config::ParamKey>& params,
                        ConfigDatabase& out);
 
-/// Parse one cell into a standalone record (the out-of-core path, where no
-/// database exists).  `rec` is reset first; rec.cell_id is filled.  Returns
-/// the cell id.
-std::uint32_t parse_cell(ByteReader& r,
-                         const std::vector<config::ParamKey>& params,
-                         CellRecord& rec);
-
 /// Wire-level facts parse_cell_filtered reports about the *unfiltered* cell
 /// run it just scanned — everything a filtering reader needs to (a) validate
 /// raw counts against the manifest and (b) preserve the merge contract's
@@ -128,15 +121,18 @@ struct CellScan {
   bool has_front = false;       ///< the run had at least one observation
 };
 
-/// Predicate push-down variant of the record-reuse parse_cell: decodes the
-/// cell's full wire structure (every varint must be walked to find the next
-/// cell) but materializes only observations whose param-table index is set
-/// in `keep` — the 8-byte value payload of a filtered observation is
-/// *skipped*, never loaded, and counted in CellScan::values_skipped.  An
-/// empty `keep` keeps every observation.  When the returned id falls
-/// outside [min_cell, max_cell] nothing is materialized at all (the caller
-/// drops the cell); `rec` still carries the header metadata either way.
-/// Same structural-damage errors as parse_cell.
+/// Parse one cell into a standalone record (the shard-direct read path,
+/// where no database exists), with predicate push-down.  `rec` is reset
+/// first (its observation capacity is kept); rec.cell_id is filled and the
+/// cell id returned.  The cell's full wire structure is decoded (every
+/// varint must be walked to find the next cell), but only observations
+/// whose param-table index is set in `keep` materialize — the 8-byte value
+/// payload of a filtered observation is *skipped*, never loaded, and
+/// counted in CellScan::values_skipped.  An empty `keep` keeps every
+/// observation.  When the returned id falls outside [min_cell, max_cell]
+/// nothing is materialized at all (the caller drops the cell); `rec` still
+/// carries the header metadata either way.  Same structural-damage errors
+/// as parse_cell.
 std::uint32_t parse_cell_filtered(ByteReader& r,
                                   const std::vector<config::ParamKey>& params,
                                   const std::vector<char>& keep,

@@ -296,6 +296,7 @@ std::vector<ConfigUpdate> make_update_schedule(const CarrierProfile& profile,
                                                const WorldOptions& options,
                                                Rng& rng) {
   std::vector<ConfigUpdate> schedule;
+  schedule.reserve(3);  // at most one idle and two active updates
   if (rng.chance(profile.idle_update_prob_2y))
     schedule.push_back({rng.uniform(30.0, options.window_days), false});
   if (rng.chance(profile.active_update_prob_2y)) {

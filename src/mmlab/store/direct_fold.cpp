@@ -6,7 +6,6 @@
 #include <deque>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -22,7 +21,7 @@ namespace {
 /// One parsed cell run plus the unfiltered-front facts the merge contract's
 /// metadata tie-break needs under wire filtering (front_t / has_front
 /// describe the run as stored, before any ParamKey predicate dropped
-/// observations; unused by unfiltered folds).
+/// observations; only filtered folds read them).
 struct ParsedCell {
   std::uint32_t id = 0;
   core::CellRecord rec;
@@ -69,7 +68,6 @@ DirectFold::DirectFold(const ShardSet& set, FoldOptions options)
     : set_(&set), options_(options), names_(set.manifest().carriers) {
   // Sorted carrier order, same as ColumnarView and QueryPlan.
   std::sort(names_.begin(), names_.end());
-  stats_.crc_checked = set.manifest().block_extras;
 }
 
 DirectFold::FoldJob DirectFold::make_job(const QueryPlan& plan,
@@ -88,9 +86,6 @@ DirectFold::FoldJob DirectFold::make_job(const QueryPlan& plan,
   job.threads = threads;
   std::size_t window = options_.window_blocks;
   if (window == 0) window = std::max<std::size_t>(2, std::size_t{2} * threads);
-  // No per-block cell-id ranges means no emission frontier: every block
-  // could still contribute a run of any cell, so parse them all up front.
-  if (cp.safe_floor.empty()) window = cp.blocks.size();
   job.window = window;
   return job;
 }
@@ -100,11 +95,9 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
   using R = Result<FoldStats>;
   const auto start = std::chrono::steady_clock::now();
   const std::vector<std::size_t>& blocks = *job.blocks;
-  const bool extras = set_->manifest().block_extras;
   const std::vector<char>& keep = *job.param_mask;
 
   FoldStats fs;
-  fs.crc_checked = extras;
   std::deque<ParsedBlock> live;
   std::size_t resident = 0;  // live blocks still holding parsed cells
   std::size_t next_block = 0;
@@ -112,34 +105,17 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
   const auto parse_one = [&](ParsedBlock& pb) {
     const BlockInfo& info = *set_->blocks()[pb.global].info;
     const auto body = set_->block_body(pb.global);
-    if (extras && crc16_ccitt(body.data(), body.size()) != info.crc16)
+    if (crc16_ccitt(body.data(), body.size()) != info.crc16)
       throw std::runtime_error("block CRC mismatch at shard offset " +
                                std::to_string(info.offset));
+    // Every cell's wire structure is walked (and the manifest's raw
+    // counts/ranges validated against it), but only in-range cells
+    // materialize and only selected params' values decode.  A plan without
+    // predicates passes an empty mask and the full id range, so every cell
+    // materializes whole.
     ByteReader r(body.data(), body.size());
+    pb.cells.reserve(static_cast<std::size_t>(info.cell_count));
     std::uint64_t rows = 0;
-    if (!job.filtered) {
-      pb.cells.reserve(static_cast<std::size_t>(info.cell_count));
-      while (r.remaining() > 0) {
-        ParsedCell pc;
-        pc.id = core::mmds::parse_cell(r, set_->params(), pc.rec);
-        if (!pb.cells.empty() && pc.id <= pb.cells.back().id)
-          throw std::runtime_error("cell ids not ascending within a block");
-        rows += pc.rec.observations.size();
-        pb.cells.push_back(std::move(pc));
-      }
-      if (pb.cells.size() != info.cell_count)
-        throw std::runtime_error("block cell count disagrees with manifest");
-      if (rows != info.row_count)
-        throw std::runtime_error("block row count disagrees with manifest");
-      if (extras && !pb.cells.empty() &&
-          (pb.cells.front().id != info.first_cell ||
-           pb.cells.back().id != info.last_cell))
-        throw std::runtime_error("block cell-id range disagrees with manifest");
-      return;
-    }
-    // Filtered path: every cell's wire structure is still walked (and the
-    // manifest's raw counts/ranges validated against it), but only in-range
-    // cells materialize and only selected params' values decode.
     std::uint64_t scanned = 0;
     std::uint32_t first_raw = 0, last_raw = 0;
     bool any = false;
@@ -169,8 +145,7 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
       throw std::runtime_error("block cell count disagrees with manifest");
     if (rows != info.row_count)
       throw std::runtime_error("block row count disagrees with manifest");
-    if (extras && any &&
-        (first_raw != info.first_cell || last_raw != info.last_cell))
+    if (any && (first_raw != info.first_cell || last_raw != info.last_cell))
       throw std::runtime_error("block cell-id range disagrees with manifest");
   };
 
@@ -223,7 +198,7 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
   // itself is popped off the deque front after the merge step (never while
   // iterating it).
   const auto retire = [&](ParsedBlock& pb) {
-    if (options_.release_mapped) set_->release_block(pb.global);
+    set_->release_block(pb.global);
     pb.cells = {};  // free, not just clear
     --resident;
     if (job.gauge) job.gauge->sub(1);
@@ -243,15 +218,9 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
       }
     }
     // Emission frontier: every id at or below it has all its runs parsed.
-    // Without extras there is no frontier information at all (safe_floor is
-    // empty — indexing it here was the seed's latent out-of-bounds read):
-    // nothing is emittable until every block has parsed, so the frontier
-    // sits below any possible id.
     std::int64_t safe = std::numeric_limits<std::int64_t>::max();
     if (next_block < blocks.size())
-      safe = job.safe_floor->empty()
-                 ? std::int64_t{-1}
-                 : static_cast<std::int64_t>((*job.safe_floor)[next_block]) - 1;
+      safe = static_cast<std::int64_t>((*job.safe_floor)[next_block]) - 1;
     if (!found || min_id > safe) {
       if (next_block >= blocks.size()) {
         if (!found) break;  // fully drained
@@ -328,7 +297,6 @@ void DirectFold::accumulate(const FoldStats& fs) const {
   stats_.values_skipped += fs.values_skipped;
   stats_.peak_resident_blocks =
       std::max(stats_.peak_resident_blocks, fs.peak_resident_blocks);
-  stats_.crc_checked = stats_.crc_checked && fs.crc_checked;
   stats_.fold_seconds += fs.fold_seconds;
 }
 
@@ -381,7 +349,6 @@ Result<FoldStats> DirectFold::fold_query(
       std::min<std::size_t>(threads, std::max<std::size_t>(nonempty, 1));
 
   FoldStats agg;
-  agg.crc_checked = set_->manifest().block_extras;
   agg.blocks_skipped = plan.blocks_skipped();
   agg.bytes_skipped = plan.bytes_skipped();
 
@@ -422,7 +389,7 @@ Result<FoldStats> DirectFold::fold_query(
                    &gauge, i] {
         FoldJob job = make_job(plan, cps[i]);
         job.threads = 1;
-        if (!cps[i].safe_floor.empty()) job.window = per_window;
+        job.window = per_window;
         job.gauge = &gauge;
         const auto r = run_fold(job, consumers[i]);
         if (!r) {
@@ -445,7 +412,6 @@ Result<FoldStats> DirectFold::fold_query(
     agg.blocks += per[i].blocks;
     agg.bytes += per[i].bytes;
     agg.values_skipped += per[i].values_skipped;
-    agg.crc_checked = agg.crc_checked && per[i].crc_checked;
   }
   agg.fold_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -470,70 +436,6 @@ Result<stats::ValueCounts> DirectFold::values(const std::string& carrier,
   });
   if (!r) return Result<stats::ValueCounts>::error(r.error_message());
   return out;
-}
-
-Result<std::map<long, stats::ValueCounts>> DirectFold::values_grouped(
-    const std::string& carrier, config::ParamKey key,
-    const std::function<long(const core::CellRecord&)>& factor,
-    const Query& query) const {
-  Query q = query;
-  q.carriers = {carrier};
-  const QueryPlan plan(*set_, std::move(q));
-  std::map<long, stats::ValueCounts> out;
-  core::CellFolder folder;
-  const auto r = fold_planned(plan, carrier, [&](std::uint32_t,
-                                                 const core::CellRecord& rec) {
-    folder.fold(rec);
-    const auto uniq = folder.unique_values(key);
-    // Same contract as the view: `factor` is only consulted for cells that
-    // observed the key at all, and negative factors drop the cell.
-    if (uniq.empty()) return;
-    const long f = factor(rec);
-    if (f < 0) return;
-    stats::ValueCounts& vc = out[f];
-    for (const double v : uniq) vc.add(v);
-  });
-  if (!r) return Result<std::map<long, stats::ValueCounts>>::error(r.error_message());
-  return out;
-}
-
-Result<std::map<long, stats::ValueCounts>> DirectFold::values_by_context(
-    const std::string& carrier, config::ParamKey key,
-    const Query& query) const {
-  Query q = query;
-  q.carriers = {carrier};
-  if (q.params.empty()) q.params = {key};
-  const QueryPlan plan(*set_, std::move(q));
-  std::map<long, stats::ValueCounts> out;
-  core::CellFolder folder;
-  const auto r = fold_planned(plan, carrier, [&](std::uint32_t,
-                                                 const core::CellRecord& rec) {
-    folder.fold(rec);
-    const auto* slice = folder.find(key);
-    if (!slice) return;
-    const auto contexts = folder.ctx_contexts();
-    const auto values = folder.ctx_values();
-    for (std::uint32_t j = slice->ctx_begin; j < slice->ctx_end; ++j)
-      out[static_cast<long>(contexts[j])].add(values[j]);
-  });
-  if (!r) return Result<std::map<long, stats::ValueCounts>>::error(r.error_message());
-  return out;
-}
-
-Result<std::vector<config::ParamKey>> DirectFold::observed_params(
-    const std::string& carrier, const Query& query) const {
-  Query q = query;
-  q.carriers = {carrier};
-  const QueryPlan plan(*set_, std::move(q));
-  std::set<config::ParamKey> seen;
-  core::CellFolder folder;
-  const auto r = fold_planned(plan, carrier, [&](std::uint32_t,
-                                                 const core::CellRecord& rec) {
-    folder.fold(rec);
-    for (const auto& slice : folder.keys()) seen.insert(slice.key);
-  });
-  if (!r) return Result<std::vector<config::ParamKey>>::error(r.error_message());
-  return std::vector<config::ParamKey>(seen.begin(), seen.end());
 }
 
 }  // namespace mmlab::store

@@ -13,20 +13,17 @@
 // what load_database does — so every downstream product is bit-identical to
 // the in-memory path for any thread count and window size.  The windowing
 // invariant that makes streaming safe: with the manifest's per-block
-// cell-id ranges (Manifest::block_extras), a merged cell may be emitted
-// once its id is below every unparsed block's first_cell — ids within a
-// block lie inside [first_cell, last_cell], so no later block can
-// contribute another run of it.  Stores without the extras (written before
-// they existed) still fold correctly; they just parse all of a carrier's
-// blocks before emitting (no frontier information) and skip the per-block
-// CRC (no stored block CRC).
+// cell-id ranges (BlockInfo::first_cell / last_cell), a merged cell may be
+// emitted once its id is below every unparsed block's first_cell — ids
+// within a block lie inside [first_cell, last_cell], so no later block can
+// contribute another run of it.
 //
 // Every fold is planned (DESIGN.md §13): a store::QueryPlan narrows it to
 // the blocks that can contribute to a query — other carriers' blocks and
-// (with the extras) blocks whose cell-id range misses the query are never
-// mapped, checksummed, or parsed; FoldStats counts what the planner
-// skipped.  A ParamKey predicate additionally pushes down to the wire:
-// filtered observations' 8-byte value payloads are skipped, not decoded.
+// blocks whose cell-id range misses the query are never mapped,
+// checksummed, or parsed; FoldStats counts what the planner skipped.  A
+// ParamKey predicate additionally pushes down to the wire: filtered
+// observations' 8-byte value payloads are skipped, not decoded.
 // Filtered folds preserve the merge contract exactly — the metadata
 // tie-break (which run's rat/channel/position wins) is computed over each
 // run's *unfiltered* front observation, so a planned answer is
@@ -34,7 +31,7 @@
 // fold_query schedules the selected carriers as concurrent pool jobs
 // (largest first) under one shared parse-window budget.
 //
-// Integrity: with the extras present, each block body is checksummed right
+// Integrity: each block body is checksummed against its manifest CRC right
 // before parsing.  A mismatch — or any structural damage the parser trips
 // on — fails the whole fold; a query never returns a partial answer built
 // from a corrupt prefix.
@@ -42,7 +39,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -63,18 +59,13 @@ struct FoldOptions {
   /// cross-carrier job count (concurrency moves between carriers, never
   /// multiplies).
   unsigned threads = 1;
-  /// madvise(MADV_DONTNEED) each block's mapped bytes once its last cell
-  /// has been merged out.  Disable to keep the page cache warm when the
-  /// same store will be re-read immediately (equality passes).
-  bool release_mapped = true;
   /// Parse window in blocks (0 = auto: max(2, 2 * threads)).  Larger
   /// windows trade memory for parse parallelism.  The window is a floor on
   /// batching, not a ceiling on residency: blocks stay resident until their
   /// cells are merged out, so a layout with interleaved cell-id ranges can
   /// hold more than `window_blocks` parsed blocks alive (correctness never
-  /// depends on the window).  Without manifest extras the whole carrier
-  /// parses up front regardless.  fold_query treats this as the GLOBAL
-  /// budget and splits it across concurrent carrier jobs.
+  /// depends on the window).  fold_query treats this as the GLOBAL budget
+  /// and splits it across concurrent carrier jobs.
   std::size_t window_blocks = 0;
 };
 
@@ -96,7 +87,6 @@ struct FoldStats {
   /// realized window, i.e. what bounds transient memory.  For fold_query
   /// this is the total across concurrent carrier jobs.
   std::uint64_t peak_resident_blocks = 0;
-  bool crc_checked = false;  ///< per-block CRCs were verified mid-fold
   double fold_seconds = 0.0;
 
   /// Body bytes actually decoded: parsed bytes minus the skipped value
@@ -106,9 +96,12 @@ struct FoldStats {
 };
 
 /// Streaming fold engine over an opened ShardSet.  The set must outlive the
-/// engine and stay open across every fold.  Folds are const; cumulative
-/// stats() accumulation is mutex-guarded, so independent folds (e.g. the
-/// cross-carrier scheduler's jobs) may run concurrently on one engine.
+/// engine and stay open across every fold.  Each block's mapped bytes are
+/// released (madvise) once its last cell has been merged out; a later fold
+/// of the same block refaults them from the page cache.  Folds are const;
+/// cumulative stats() accumulation is mutex-guarded, so independent folds
+/// (e.g. the cross-carrier scheduler's jobs) may run concurrently on one
+/// engine.
 class DirectFold {
  public:
   explicit DirectFold(const ShardSet& set, FoldOptions options = {});
@@ -163,38 +156,19 @@ class DirectFold {
           make_consumer,
       std::vector<FoldStats>* per_carrier = nullptr) const;
 
-  // --- ConfigDatabase / ColumnarView query equivalents -----------------------
-  // Bit-identical to the same-named ConfigDatabase / ColumnarView queries
-  // restricted to the query's selection (property-tested in
-  // test_direct_fold.cpp and, against a pre-filtered in-memory oracle, in
-  // test_query_plan.cpp); each is one planned fold over the carrier.
-  // `query`'s carrier list is ignored — the explicit carrier argument wins.
-  // For the single-key queries (values / values_by_context) an empty
-  // query.params is narrowed to {key}: the answer provably depends on that
-  // key alone, so the fold skips every other parameter's value bytes.
-  // values_grouped does NOT narrow — its factor may inspect the record's
-  // observations — and observed_params cannot (it asks about all
-  // parameters); both still benefit from carrier/range pruning and any
-  // explicit param predicate.
-
+  /// Bit-identical to ConfigDatabase / ColumnarView values() restricted to
+  /// the query's selection (property-tested in test_direct_fold.cpp and,
+  /// against a pre-filtered in-memory oracle, in test_query_plan.cpp); one
+  /// planned fold over the carrier.  `query`'s carrier list is ignored —
+  /// the explicit carrier argument wins.  An empty query.params is narrowed
+  /// to {key}: the answer depends on that key alone, so the fold skips
+  /// every other parameter's value bytes.
   Result<stats::ValueCounts> values(const std::string& carrier,
                                     config::ParamKey key,
                                     const Query& query = {}) const;
 
-  Result<std::map<long, stats::ValueCounts>> values_grouped(
-      const std::string& carrier, config::ParamKey key,
-      const std::function<long(const core::CellRecord&)>& factor,
-      const Query& query = {}) const;
-
-  Result<std::map<long, stats::ValueCounts>> values_by_context(
-      const std::string& carrier, config::ParamKey key,
-      const Query& query = {}) const;
-
-  Result<std::vector<config::ParamKey>> observed_params(
-      const std::string& carrier, const Query& query = {}) const;
-
-  /// Cumulative stats over every fold this engine has run (crc_checked and
-  /// peak_resident_blocks reflect the whole history: AND and max; planner
+  /// Cumulative stats over every fold this engine has run
+  /// (peak_resident_blocks reflects the whole history as a max; planner
   /// skip counts are NOT accumulated here — they belong to a plan, not the
   /// engine).  Mutex-guarded; safe to read between folds.
   FoldStats stats() const;

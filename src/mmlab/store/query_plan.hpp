@@ -4,9 +4,8 @@
 // range, a ParamKey subset — instead of the caller folding everything and
 // filtering the answer.  QueryPlan turns that declaration into a block
 // selection using only the manifest: per-block carrier indices prune other
-// carriers' blocks, and (when the manifest carries the per-block extras)
-// per-block [first_cell, last_cell] ranges prune blocks that cannot
-// intersect the requested id range.  A skipped block is never mapped,
+// carriers' blocks, and per-block [first_cell, last_cell] ranges prune
+// blocks that cannot intersect the requested id range.  A skipped block is never mapped,
 // CRC-checked, or parsed — its bytes are simply never touched — and the
 // skip counts surface in FoldStats so callers can see what the planner
 // saved.
@@ -17,14 +16,6 @@
 // filtered observation (core::mmds::parse_cell_filtered), so a single-key
 // query reads strictly fewer bytes than an unfiltered fold of the same
 // blocks.
-//
-// Legacy fallback: stores written before the extras existed (manifest
-// flags = 0) still plan and fold correctly — carrier pruning works (the
-// carrier index is core manifest data), cell-range pruning degrades to
-// "select every block and drop out-of-range cells at parse time", and the
-// fold runs unwindowed (no emission frontier without the id ranges).
-// Extras are all-or-nothing at the manifest level (see mmds2.hpp), so a
-// plan never mixes prunable and unprunable blocks.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +56,7 @@ struct CarrierQueryPlan {
   std::vector<std::size_t> blocks;
   /// safe_floor[i] = min first_cell over blocks[i..] — the emission
   /// frontier over the *selected* subset.  Pruned blocks cannot contain
-  /// in-range ids, so the frontier stays correct.  Empty without extras.
+  /// in-range ids, so the frontier stays correct.  Parallel to `blocks`.
   std::vector<std::uint32_t> safe_floor;
   std::uint64_t rows = 0;   ///< manifest row total of selected blocks
   std::uint64_t bytes = 0;  ///< body bytes of selected blocks

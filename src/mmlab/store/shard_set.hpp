@@ -4,9 +4,9 @@
 // against the registry, and mmaps every shard (read-only, MAP_PRIVATE) —
 // no shard byte is touched until a block is actually read, so opening a
 // multi-GB store is O(manifest).  Mapping lifetime rule: block spans
-// (block_body) alias the mappings and die with the ShardSet; the
-// out-of-core columnar build copies everything it keeps, which is what
-// lets it madvise consumed regions away mid-build.
+// (block_body) alias the mappings and die with the ShardSet; the direct
+// fold parses every cell it keeps into its own records, which is what lets
+// it madvise a consumed block away mid-fold.
 //
 // Integrity is two-layered: the manifest carries its own CRC trailer
 // (checked at open) plus a per-shard whole-file CRC, checked by verify()
@@ -81,7 +81,9 @@ class ShardSet {
 
   /// The mapped body bytes of global block `index`.
   std::span<const std::uint8_t> block_body(std::size_t index) const;
-  /// Advise the kernel the block's bytes are consumed.
+  /// Advise the kernel the block's bytes are consumed: drops this
+  /// mapping's page-table entries, not the page cache, so a re-read
+  /// refaults from memory without disk I/O.
   void release_block(std::size_t index) const;
 
   /// Stream every shard file through the CRC, comparing against the

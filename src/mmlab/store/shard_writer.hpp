@@ -35,7 +35,7 @@ namespace mmlab::store {
 struct WriterOptions {
   /// Block rotation threshold: a block closes once its body reaches this
   /// (the final cell may overshoot).  Blocks are the mmap read granule and
-  /// the out-of-core build's merge unit.
+  /// the direct fold's parse unit.
   std::size_t target_block_bytes = 8u << 20;
   /// Shard rotation threshold: a shard closes once it holds this many bytes
   /// (checked at block boundaries; blocks never span shards).

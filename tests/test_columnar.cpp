@@ -106,6 +106,8 @@ long mixed_sign_factor(const CellRecord& rec) {
 void expect_core_queries_equivalent(const ConfigDatabase& db,
                                     unsigned build_threads) {
   const ColumnarView view(db, build_threads);
+  EXPECT_EQ(view.total_cells(), db.total_cells());
+  EXPECT_EQ(view.total_observations(), db.total_samples());
   for (const auto& carrier : probe_carriers(db)) {
     EXPECT_EQ(view.observed_params(carrier), db.observed_params(carrier))
         << carrier;

@@ -2,11 +2,12 @@
 // bit-identically to the in-memory paths (ConfigDatabase scans and the
 // ColumnarView), for any thread count and any parse-window size;
 // mid-fold corruption (a flipped byte in any block) must surface as an
-// error with no partial answer escaping; manifest block extras round-trip
-// and their absence (legacy flags=0 stores) degrades to the unwindowed
-// fold without changing a single bit of the results.
+// error with no partial answer escaping; manifest block extras round-trip,
+// and a manifest without them (flags=0) or with unknown flag bits is
+// rejected at open.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -168,6 +169,19 @@ void expect_gaps(const core::MeasurementGaps& a, const core::MeasurementGaps& b,
   expect_bits(a.nonintra_minus_slow, b.nonintra_minus_slow, what + " n-s");
 }
 
+/// The parameters a carrier observed, ascending: the key set of its
+/// unfiltered diversity sweep.
+std::vector<config::ParamKey> diversity_keys(const DirectFold& direct,
+                                             const std::string& carrier) {
+  auto div = diversity_by_param(direct, carrier);
+  EXPECT_TRUE(div.ok()) << div.error_message();
+  std::vector<config::ParamKey> keys;
+  if (!div.ok()) return keys;
+  for (const auto& d : div.value()) keys.push_back(d.key);
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
 /// The whole-carrier stream: one unfiltered planned fold of `carrier`.
 Result<FoldStats> fold_whole(const DirectFold& direct,
                              const std::string& carrier,
@@ -184,7 +198,8 @@ std::vector<geo::City> test_cities() {
     geo::City city;
     city.id = static_cast<geo::CityId>(i + 1);
     city.name = "city" + std::to_string(i);
-    city.code = "C" + std::to_string(i + 1);
+    city.code = "C";
+    city.code += std::to_string(i + 1);
     city.origin = {-5e4 + i * 3.4e4, -5e4};
     city.extent_m = 3.4e4;
     cities.push_back(city);
@@ -203,10 +218,6 @@ TEST(DirectFold, GenericQueriesMatchViewAcrossThreadsAndWindows) {
   const core::ColumnarView view(db, 1);
 
   const auto serving = config::lte_param(config::ParamId::kServingPriority);
-  const auto neighbor = config::lte_param(config::ParamId::kNeighborPriority);
-  const auto by_channel = [](const core::CellRecord& rec) {
-    return static_cast<long>(rec.channel);
-  };
 
   for (const unsigned threads : {1u, 2u, 4u, 0u}) {
     for (const std::size_t window : {std::size_t{0}, std::size_t{1},
@@ -223,20 +234,21 @@ TEST(DirectFold, GenericQueriesMatchViewAcrossThreadsAndWindows) {
         ASSERT_TRUE(values.ok()) << values.error_message();
         EXPECT_EQ(values.value(), view.values(carrier, serving)) << tag;
 
-        auto grouped = direct.values_grouped(carrier, serving, by_channel);
+        auto grouped = priority_by_channel(direct, carrier, false);
         ASSERT_TRUE(grouped.ok()) << grouped.error_message();
         expect_counts(grouped.value(),
-                      view.values_grouped(carrier, serving, by_channel),
+                      core::priority_by_channel(view, carrier, false),
                       tag + " grouped");
 
-        auto ctx = direct.values_by_context(carrier, neighbor);
+        auto ctx = priority_by_channel(direct, carrier, true);
         ASSERT_TRUE(ctx.ok()) << ctx.error_message();
-        expect_counts(ctx.value(), view.values_by_context(carrier, neighbor),
+        expect_counts(ctx.value(),
+                      core::priority_by_channel(view, carrier, true),
                       tag + " ctx");
 
-        auto observed = direct.observed_params(carrier);
-        ASSERT_TRUE(observed.ok()) << observed.error_message();
-        EXPECT_EQ(observed.value(), view.observed_params(carrier)) << tag;
+        EXPECT_EQ(diversity_keys(direct, carrier),
+                  view.observed_params(carrier))
+            << tag;
       }
     }
   }
@@ -414,7 +426,6 @@ TEST(DirectFold, ResidencyStaysWithinTheParseWindow) {
   save_small_blocks(db, dir.path());
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
-  ASSERT_TRUE(set.value().manifest().block_extras);
   const std::size_t blocks = set.value().blocks().size();
   ASSERT_GT(blocks, 8u) << "rotation targets too lax";
 
@@ -428,7 +439,6 @@ TEST(DirectFold, ResidencyStaysWithinTheParseWindow) {
       ASSERT_TRUE(r.ok()) << r.error_message();
       EXPECT_LE(r.value().peak_resident_blocks, window)
           << carrier << " window " << window;
-      EXPECT_TRUE(r.value().crc_checked);
     }
   }
 }
@@ -513,8 +523,6 @@ TEST(DirectFold, ManifestExtrasRoundTripAndMatchTheBlocks) {
   save_small_blocks(db, dir.path());
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
-  const auto& m = set.value().manifest();
-  EXPECT_TRUE(m.block_extras);
   for (std::size_t i = 0; i < set.value().blocks().size(); ++i) {
     const auto& info = *set.value().blocks()[i].info;
     EXPECT_LE(info.first_cell, info.last_cell);
@@ -528,98 +536,47 @@ TEST(DirectFold, ManifestExtrasRoundTripAndMatchTheBlocks) {
     auto r = fold_whole(
         direct, carrier, [&](std::uint32_t, const core::CellRecord&) { ++cells; });
     ASSERT_TRUE(r.ok()) << r.error_message();
-    EXPECT_TRUE(r.value().crc_checked);
   }
   EXPECT_GT(cells, 0u);
 }
 
-TEST(DirectFold, LegacyStoresWithoutExtrasFoldIdentically) {
-  // A flags=0 manifest (pre-extras stores) must still fold — unwindowed,
-  // CRC deferred to verify() — with bit-identical results, for every
-  // thread count.
-  StoreDir dir("legacy");
-  const auto db = random_db(71, 2, 50, 3);
-  save_small_blocks(db, dir.path());
-
-  auto modern_set = ShardSet::open(dir.path());
-  ASSERT_TRUE(modern_set.ok());
-  const DirectFold modern(modern_set.value(), {});
-  const auto serving = config::lte_param(config::ParamId::kServingPriority);
-  std::map<std::string, stats::ValueCounts> expected;
-  for (const auto& carrier : modern.carriers())
-    expected[carrier] = modern.values(carrier, serving).value();
-
-  // Strip the extras: rewrite the manifest with block_extras=false.
-  {
-    auto m = read_manifest(dir.path());
-    ASSERT_TRUE(m.ok()) << m.error_message();
-    Manifest stripped = m.value();
-    stripped.block_extras = false;
-    write_manifest(dir.path(), stripped);
-  }
-
-  auto legacy_set = ShardSet::open(dir.path());
-  ASSERT_TRUE(legacy_set.ok()) << legacy_set.error_message();
-  EXPECT_FALSE(legacy_set.value().manifest().block_extras);
-  const core::ColumnarView reference(db, 1);
-  for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-    FoldOptions fopts;
-    fopts.threads = threads;
-    const DirectFold legacy(legacy_set.value(), fopts);
-    EXPECT_FALSE(legacy.stats().crc_checked);  // nothing to check against
-    for (const auto& carrier : legacy.carriers()) {
-      auto r = legacy.values(carrier, serving);
-      ASSERT_TRUE(r.ok()) << r.error_message();
-      EXPECT_EQ(r.value(), expected[carrier]) << carrier;
-      EXPECT_EQ(r.value(), reference.values(carrier, serving)) << carrier;
-      auto div = diversity_by_param(legacy, carrier);
-      ASSERT_TRUE(div.ok()) << div.error_message();
-      expect_diversity(div.value(), core::diversity_by_param(reference, carrier),
-                       "legacy threads=" + std::to_string(threads));
-    }
-    // Unwindowed: the whole carrier is resident at once.
-    auto fr = fold_whole(legacy, legacy.carriers()[0],
-                         [](std::uint32_t, const core::CellRecord&) {});
-    ASSERT_TRUE(fr.ok());
-    EXPECT_FALSE(fr.value().crc_checked);
-  }
-
-  // The legacy store must also still load.
-  core::ConfigDatabase loaded;
-  ASSERT_TRUE(load_database(legacy_set.value(), loaded, 2).ok());
-  EXPECT_EQ(loaded, db);
-}
-
 TEST(DirectFold, UnknownManifestFlagBitsAreRejected) {
   // Forward-compat contract: a store written with flag bits we do not
-  // understand must refuse to open, not silently best-effort.
+  // understand must refuse to open, not silently best-effort.  The extras
+  // bit is required, so a flags byte of 0 (a store written before the
+  // extras existed) is refused the same way.
   StoreDir dir("flags");
   save_small_blocks(random_db(73, 1, 10), dir.path());
   const auto manifest_path =
       (fs::path(dir.path()) / core::kMmds2ManifestName).string();
 
-  std::vector<char> bytes;
+  std::vector<char> pristine;
   {
     std::ifstream in(manifest_path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
+    pristine.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
   }
-  ASSERT_GT(bytes.size(), 8u);
-  bytes[5] = static_cast<char>(bytes[5] | 0x02);  // an undefined flag bit
-  // Fix up the CRC trailer so only the flag byte is "wrong".
-  {
+  ASSERT_GT(pristine.size(), 8u);
+  ASSERT_EQ(pristine[5], 0x01);
+  for (const char flags : {static_cast<char>(pristine[5] | 0x02),  // undefined
+                           char{0x00}}) {                          // no extras
+    std::vector<char> bytes = pristine;
+    bytes[5] = flags;
+    // Fix up the CRC trailer so only the flag byte is "wrong".
     const auto payload = bytes.size() - 2;
     const std::uint16_t crc = crc16_ccitt(
         reinterpret_cast<const std::uint8_t*>(bytes.data()), payload);
     bytes[payload] = static_cast<char>(crc & 0xFF);
     bytes[payload + 1] = static_cast<char>((crc >> 8) & 0xFF);
-    std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    {
+      std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    auto r = ShardSet::open(dir.path());
+    ASSERT_FALSE(r.ok()) << "flags " << static_cast<int>(flags);
+    EXPECT_NE(r.error_message().find("flag"), std::string::npos)
+        << r.error_message();
   }
-  auto r = ShardSet::open(dir.path());
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error_message().find("flag"), std::string::npos)
-      << r.error_message();
 }
 
 // --- block-parallel folds ------------------------------------------------------
@@ -647,9 +604,8 @@ TEST(StoreBuildParallel, ManyBlockBuildIsThreadCountInvariant) {
       ASSERT_TRUE(values.ok()) << values.error_message();
       EXPECT_EQ(values.value(), reference.values(carrier.name, serving))
           << "threads " << threads;
-      auto observed = direct.observed_params(carrier.name);
-      ASSERT_TRUE(observed.ok()) << observed.error_message();
-      EXPECT_EQ(observed.value(), reference.observed_params(carrier.name));
+      EXPECT_EQ(diversity_keys(direct, carrier.name),
+                reference.observed_params(carrier.name));
       auto div = diversity_by_param(direct, carrier.name);
       ASSERT_TRUE(div.ok()) << div.error_message();
       expect_diversity(div.value(),
@@ -677,10 +633,8 @@ TEST(StoreBuildParallel, ConcurrentFoldsOfDistinctCarriersAreIndependent) {
   ASSERT_TRUE(set.ok()) << set.error_message();
   const auto serving = config::lte_param(config::ParamId::kServingPriority);
 
-  FoldOptions fopts;
-  fopts.release_mapped = false;  // do not discard pages under the other fold
-  const DirectFold a(set.value(), fopts);
-  const DirectFold b(set.value(), fopts);
+  const DirectFold a(set.value(), {});
+  const DirectFold b(set.value(), {});
   const core::ColumnarView reference(db, 1);
 
   stats::ValueCounts ra, rb;

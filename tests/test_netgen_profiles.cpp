@@ -116,8 +116,8 @@ TEST_P(ProfileSweep, HundredGeneratedConfigsEncode) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCarriers, ProfileSweep, ::testing::Range(0, 30),
-    [](const ::testing::TestParamInfo<int>& info) {
-      std::string name = standard_carrier_profiles()[info.param].name;
+    [](const ::testing::TestParamInfo<int>& param_info) {
+      std::string name = standard_carrier_profiles()[param_info.param].name;
       for (char& c : name)
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       return name;

@@ -255,7 +255,6 @@ TEST(QueryPlan, CellRangePruningMatchesManifestRangesAndKeepsFrontier) {
   save_small_blocks(db, dir.path());
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
-  ASSERT_TRUE(set.value().manifest().block_extras);
   const std::uint32_t mid = median_cell_id(db);
 
   Query q;
@@ -319,9 +318,6 @@ TEST(QueryPlan, PlannedFoldsMatchFilteredOracleAcrossPredicatesThreadsWindows) {
   const std::uint32_t mid = median_cell_id(db);
   const auto serving = config::lte_param(config::ParamId::kServingPriority);
   const auto neighbor = config::lte_param(config::ParamId::kNeighborPriority);
-  const auto by_channel = [](const core::CellRecord& rec) {
-    return static_cast<long>(rec.channel);
-  };
 
   std::vector<Query> queries;
   queries.emplace_back();  // no predicate: the whole store
@@ -366,7 +362,6 @@ TEST(QueryPlan, PlannedFoldsMatchFilteredOracleAcrossPredicatesThreadsWindows) {
         FoldOptions fopts;
         fopts.threads = threads;
         fopts.window_blocks = window;
-        fopts.release_mapped = false;  // store is re-read many times
         const DirectFold direct(set.value(), fopts);
         const std::string tag =
             "carriers=" + std::to_string(query.carriers.size()) +
@@ -380,28 +375,21 @@ TEST(QueryPlan, PlannedFoldsMatchFilteredOracleAcrossPredicatesThreadsWindows) {
           ASSERT_TRUE(vals.ok()) << tag << ": " << vals.error_message();
           EXPECT_EQ(vals.value(), oracle.values(carrier, serving)) << tag;
 
-          auto grouped =
-              direct.values_grouped(carrier, serving, by_channel, query);
-          ASSERT_TRUE(grouped.ok()) << grouped.error_message();
-          expect_counts(grouped.value(),
-                        oracle.values_grouped(carrier, serving, by_channel),
-                        tag + " grouped " + carrier);
-
-          auto ctx = direct.values_by_context(carrier, neighbor, query);
+          auto ctx = priority_by_channel(direct, carrier, true, query);
           ASSERT_TRUE(ctx.ok()) << ctx.error_message();
           expect_counts(ctx.value(),
-                        oracle.values_by_context(carrier, neighbor),
+                        core::priority_by_channel(oracle, carrier, true),
                         tag + " ctx " + carrier);
-
-          auto observed = direct.observed_params(carrier, query);
-          ASSERT_TRUE(observed.ok()) << observed.error_message();
-          EXPECT_EQ(observed.value(), oracle.observed_params(carrier)) << tag;
 
           auto div = diversity_by_param(direct, carrier, std::nullopt, query);
           ASSERT_TRUE(div.ok()) << div.error_message();
           expect_diversity(div.value(),
                            core::diversity_by_param(oracle_db, carrier),
                            tag + " div " + carrier);
+          std::vector<config::ParamKey> observed;
+          for (const auto& d : div.value()) observed.push_back(d.key);
+          std::sort(observed.begin(), observed.end());
+          EXPECT_EQ(observed, oracle.observed_params(carrier)) << tag;
 
           auto pri = priority_by_channel(direct, carrier, false, query);
           ASSERT_TRUE(pri.ok()) << pri.error_message();
@@ -447,74 +435,6 @@ TEST(QueryPlan, PlannedSkipCountsAndPushDownBytesAreVisibleInStats) {
   EXPECT_EQ(direct.stats().blocks_skipped, 0u);
 }
 
-// --- legacy flags=0 fallback -------------------------------------------------
-
-TEST(QueryPlan, LegacyStoresWithoutExtrasCannotSkipButAnswerIdentically) {
-  // A flags=0 manifest plans with carrier pruning only: cell-range pruning
-  // degrades to select-everything-and-drop-at-parse, the fold runs
-  // unwindowed, and every planned answer still matches the oracle exactly.
-  StoreDir dir("legacy");
-  const auto db = random_db(127, 2, 50, 3);
-  save_small_blocks(db, dir.path());
-  const std::uint32_t mid = median_cell_id(db);
-  const auto serving = config::lte_param(config::ParamId::kServingPriority);
-
-  Query q;
-  q.carriers = {"C0"};
-  q.max_cell = mid;
-  q.params = {serving};
-
-  stats::ValueCounts with_extras;
-  {
-    auto set = ShardSet::open(dir.path());
-    ASSERT_TRUE(set.ok());
-    const DirectFold direct(set.value(), {});
-    with_extras = direct.values("C0", serving, q).value();
-  }
-
-  // Strip the extras: rewrite the manifest with block_extras=false.
-  {
-    auto m = read_manifest(dir.path());
-    ASSERT_TRUE(m.ok()) << m.error_message();
-    Manifest stripped = m.value();
-    stripped.block_extras = false;
-    write_manifest(dir.path(), stripped);
-  }
-
-  auto set = ShardSet::open(dir.path());
-  ASSERT_TRUE(set.ok()) << set.error_message();
-  ASSERT_FALSE(set.value().manifest().block_extras);
-  const QueryPlan plan(set.value(), q);
-  ASSERT_EQ(plan.carriers().size(), 1u);
-  const auto& cp = plan.carriers()[0];
-  // Cannot skip by range without per-block id ranges: every carrier block
-  // stays selected and no frontier exists.
-  EXPECT_EQ(cp.blocks_pruned, 0u);
-  EXPECT_TRUE(cp.safe_floor.empty());
-  std::size_t c0_blocks = 0;
-  for (const auto& ref : set.value().blocks())
-    c0_blocks +=
-        set.value().manifest().carriers[ref.info->carrier_index] == "C0";
-  EXPECT_EQ(cp.blocks.size(), c0_blocks);
-
-  const auto oracle_db = filter_db(db, q);
-  for (const unsigned threads : {1u, 4u}) {
-    FoldOptions fopts;
-    fopts.threads = threads;
-    const DirectFold legacy(set.value(), fopts);
-    auto r = legacy.values("C0", serving, q);
-    ASSERT_TRUE(r.ok()) << r.error_message();
-    EXPECT_EQ(r.value(), with_extras);
-    EXPECT_EQ(r.value(), oracle_db.values("C0", serving));
-
-    auto fr = legacy.fold_planned(plan, "C0",
-                                  [](std::uint32_t, const core::CellRecord&) {});
-    ASSERT_TRUE(fr.ok());
-    EXPECT_FALSE(fr.value().crc_checked);  // no stored block CRC to check
-    EXPECT_GT(fr.value().values_skipped, 0u);  // push-down still works
-  }
-}
-
 // --- cross-carrier scheduler -------------------------------------------------
 
 TEST(CrossCarrier, ScheduledMixMatchesSequentialAndOracleForEveryThreadCount) {
@@ -536,7 +456,6 @@ TEST(CrossCarrier, ScheduledMixMatchesSequentialAndOracleForEveryThreadCount) {
   {
     FoldOptions fopts;
     fopts.threads = 1;
-    fopts.release_mapped = false;
     const DirectFold direct(set.value(), fopts);
     auto qa = analyze_query(direct, query, mopts);
     ASSERT_TRUE(qa.ok()) << qa.error_message();
@@ -551,7 +470,6 @@ TEST(CrossCarrier, ScheduledMixMatchesSequentialAndOracleForEveryThreadCount) {
       FoldOptions fopts;
       fopts.threads = threads;
       fopts.window_blocks = window;
-      fopts.release_mapped = false;
       const DirectFold direct(set.value(), fopts);
       auto qa = analyze_query(direct, query, mopts);
       ASSERT_TRUE(qa.ok()) << qa.error_message();
@@ -594,7 +512,6 @@ TEST(CrossCarrier, ScheduledSubsetQueryMatchesPerCarrierPlannedFolds) {
 
   FoldOptions fopts;
   fopts.threads = 4;
-  fopts.release_mapped = false;
   const DirectFold direct(set.value(), fopts);
   auto qa = analyze_query(direct, query, MixOptions{});
   ASSERT_TRUE(qa.ok()) << qa.error_message();
@@ -656,7 +573,6 @@ TEST(CrossCarrier, SharedWindowBudgetBoundsTotalConcurrentResidency) {
   save_small_blocks(db, dir.path());
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
-  ASSERT_TRUE(set.value().manifest().block_extras);
   ASSERT_GT(set.value().blocks().size(), 32u) << "rotation targets too lax";
 
   for (const std::size_t budget : {std::size_t{4}, std::size_t{8}}) {

@@ -240,7 +240,6 @@ TEST(StoreColumnar, ChunkedStreamFromGeneratorMatchesDirectDatabase) {
 
   FoldOptions fopts;
   fopts.threads = 2;
-  fopts.release_mapped = false;
   const DirectFold direct(set.value(), fopts);
   const core::ColumnarView reference(db, 1);
   for (const auto& carrier : reference.carriers()) {

@@ -20,7 +20,7 @@ UeOptions active_opts(std::uint64_t seed = 1) {
 }
 
 /// Drive a UE from x=0 to x=2000 across the two-cell corridor.
-void drive_corridor(net::Deployment& net, Ue& device, Millis duration = 180'000) {
+void drive_corridor(Ue& device, Millis duration = 180'000) {
   for (Millis t = 0; t <= duration; t += 100) {
     const double frac =
         static_cast<double>(t) / static_cast<double>(duration);
@@ -82,7 +82,7 @@ TEST(Ue, AttachFailsOutOfCoverage) {
 TEST(Ue, ActiveDriveHandsOff) {
   auto net = test::two_cell_corridor(test::a3_event(3.0));
   Ue device(net, active_opts());
-  drive_corridor(net, device);
+  drive_corridor(device);
   ASSERT_GE(device.handoffs().size(), 1u);
   const auto& ho = device.handoffs().front();
   EXPECT_TRUE(ho.active_state);
@@ -96,7 +96,7 @@ TEST(Ue, DecisionDelayWithinPaperRange) {
   auto net = test::two_cell_corridor(test::a3_event(3.0));
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Ue device(net, active_opts(seed));
-    drive_corridor(net, device);
+    drive_corridor(device);
     for (const auto& ho : device.handoffs()) {
       const Millis delay = ho.exec_time - ho.report_time;
       EXPECT_GE(delay, 80);
@@ -110,8 +110,8 @@ TEST(Ue, LargerA3OffsetDefersHandoff) {
   auto net_large = test::two_cell_corridor(test::a3_event(12.0, 320, 0.5));
   Ue ue_small(net_small, active_opts(7));
   Ue ue_large(net_large, active_opts(7));
-  drive_corridor(net_small, ue_small);
-  drive_corridor(net_large, ue_large);
+  drive_corridor(ue_small);
+  drive_corridor(ue_large);
   ASSERT_GE(ue_small.handoffs().size(), 1u);
   ASSERT_GE(ue_large.handoffs().size(), 1u);
   // ∆A3 = 12 dB waits until the new cell is much stronger => later handoff
@@ -124,7 +124,7 @@ TEST(Ue, LargerA3OffsetDefersHandoff) {
 TEST(Ue, A3HandoffImprovesRsrp) {
   auto net = test::two_cell_corridor(test::a3_event(3.0));
   Ue device(net, active_opts(3));
-  drive_corridor(net, device);
+  drive_corridor(device);
   for (const auto& ho : device.handoffs())
     EXPECT_GT(ho.new_rsrp_dbm, ho.old_rsrp_dbm - 1.0);
 }
@@ -134,7 +134,7 @@ TEST(Ue, IdleDriveReselects) {
   UeOptions opts = active_opts();
   opts.active_mode = false;
   Ue device(net, opts);
-  drive_corridor(net, device);
+  drive_corridor(device);
   ASSERT_GE(device.handoffs().size(), 1u);
   EXPECT_FALSE(device.handoffs()[0].active_state);
   EXPECT_EQ(device.serving_cell()->id, 2u);
@@ -145,7 +145,7 @@ TEST(Ue, IdleEqualPriorityReselectionImprovesRsrp) {
   UeOptions opts = active_opts();
   opts.active_mode = false;
   Ue device(net, opts);
-  drive_corridor(net, device);
+  drive_corridor(device);
   for (const auto& ho : device.handoffs())
     EXPECT_GT(ho.new_rsrp_dbm, ho.old_rsrp_dbm);
 }
@@ -202,14 +202,14 @@ TEST(Ue, BandSupportBlocksUnsupportedCells) {
   UeOptions no30 = active_opts();
   no30.band_support = spectrum::BandSupport::all_except({30});
   Ue device(net, no30);
-  drive_corridor(net, device);
+  drive_corridor(device);
   // The UE can never move to cell 2: no handoff to it, ending in RLF or
   // still on cell 1.
   for (const auto& ho : device.handoffs()) EXPECT_NE(ho.to, 2u);
 
   UeOptions with30 = active_opts();
   Ue device2(net, with30);
-  drive_corridor(net, device2);
+  drive_corridor(device2);
   bool reached = false;
   for (const auto& ho : device2.handoffs()) reached |= ho.to == 2u;
   EXPECT_TRUE(reached);
@@ -218,7 +218,7 @@ TEST(Ue, BandSupportBlocksUnsupportedCells) {
 TEST(Ue, DiagLogFullyParseable) {
   auto net = test::two_cell_corridor(test::a3_event(3.0));
   Ue device(net, active_opts());
-  drive_corridor(net, device);
+  drive_corridor(device);
   diag::Parser parser(device.diag_log().bytes());
   const auto records = parser.all();
   EXPECT_GT(records.size(), 100u);
@@ -227,8 +227,9 @@ TEST(Ue, DiagLogFullyParseable) {
   // Every RRC payload decodes.
   for (const auto& rec : records) {
     if (rec.code == diag::LogCode::kLteRrcOta ||
-        rec.code == diag::LogCode::kLegacyRrcOta)
+        rec.code == diag::LogCode::kLegacyRrcOta) {
       EXPECT_TRUE(rrc::decode(rec.payload).ok());
+    }
   }
 }
 
@@ -252,7 +253,7 @@ TEST(Ue, A5WithNoServingRequirementCanPickWeakerCell) {
   int weaker = 0, total = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Ue device(net, active_opts(seed));
-    drive_corridor(net, device);
+    drive_corridor(device);
     for (const auto& ho : device.handoffs()) {
       ++total;
       if (ho.new_rsrp_dbm < ho.old_rsrp_dbm) ++weaker;
