@@ -2,6 +2,8 @@
 
 #include "mmlab/core/dataset_io.hpp"
 #include "mmlab/mobility/route.hpp"
+#include "mmlab/store/shard_set.hpp"
+#include "mmlab/store/shard_writer.hpp"
 
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +37,23 @@ unsigned env_threads() {
   return 0;  // hardware concurrency
 }
 
+namespace {
+
+/// Replay a saved dataset of either format (sniffed).
+Result<core::LoadStats> load_saved(const std::string& path,
+                                   core::ConfigDatabase& db) {
+  using R = Result<core::LoadStats>;
+  const auto format = store::detect_dataset_format(path);
+  if (!format.ok()) return R::error(format.error_message());
+  if (format.value() == store::DatasetFormat::kCsv)
+    return core::load_dataset(path, db);
+  auto set = store::ShardSet::open(path);
+  if (!set.ok()) return R::error(set.error_message());
+  return store::load_database(set.value(), db, env_threads());
+}
+
+}  // namespace
+
 D2Data build_d2(double scale, double mean_rounds) {
   D2Data data;
   netgen::WorldOptions wopts;
@@ -42,12 +61,13 @@ D2Data build_d2(double scale, double mean_rounds) {
   wopts.scale = scale;
   data.world = netgen::generate_world(wopts);
 
-  // Dataset replay: MMLAB_DATASET points at a saved crawl (CSV or MMDS
-  // binary).  An existing file short-circuits the crawl — at D2 scale the
-  // binary load is orders of magnitude faster than re-crawling.
+  // Dataset replay: MMLAB_DATASET points at a saved crawl (a v2 store
+  // directory or a CSV file).  An existing path short-circuits the crawl —
+  // at D2 scale the store load is orders of magnitude faster than
+  // re-crawling.
   const char* dataset = std::getenv("MMLAB_DATASET");
   if (dataset && std::filesystem::exists(dataset)) {
-    const auto stats = core::load_dataset_any(dataset, data.db, env_threads());
+    const auto stats = load_saved(dataset, data.db);
     if (!stats.ok())
       throw std::runtime_error("MMLAB_DATASET: " + stats.error_message());
     std::fprintf(stderr, "[bench] replayed %zu observations from %s\n",
@@ -64,12 +84,13 @@ D2Data build_d2(double scale, double mean_rounds) {
       core::extract_configs_parallel(crawl.logs, data.db, env_threads());
 
   if (dataset) {
-    const bool binary = std::string_view(dataset).ends_with(".mmds");
-    core::save_dataset(data.db, dataset,
-                       binary ? core::DatasetFormat::kBinary
-                              : core::DatasetFormat::kCsv);
+    const bool csv = std::string_view(dataset).ends_with(".csv");
+    if (csv)
+      core::save_dataset(data.db, dataset);
+    else
+      store::save_database(data.db, dataset);
     std::fprintf(stderr, "[bench] saved dataset to %s (%s)\n", dataset,
-                 binary ? "MMDS v1" : "csv");
+                 csv ? "csv" : "MMDS v2 store");
   }
   return data;
 }

@@ -5,12 +5,13 @@
 //   MMLAB_THREADS — worker threads for the crawl/campaign simulation AND the
 //                   extraction (default: hardware concurrency); results are
 //                   bit-identical for every value
-//   MMLAB_DATASET — path of a saved dataset (CSV or MMDS binary, sniffed):
-//                   if the file exists, build_d2 replays it instead of
+//   MMLAB_DATASET — path of a saved dataset.  If the path exists, build_d2
+//                   replays it (CSV or MMDS v2 store, sniffed) instead of
 //                   re-running the crawl+extract; if it does not exist yet,
-//                   the freshly built database is saved there (binary when
-//                   the path ends in .mmds, CSV otherwise), so the first
-//                   bench of a session pays the crawl and the rest replay.
+//                   the freshly built database is saved there (CSV when the
+//                   path ends in .csv, an MMDS v2 store directory
+//                   otherwise), so the first bench of a session pays the
+//                   crawl and the rest replay.
 // Every bench prints the paper-style rows to stdout and mirrors them to
 // bench_out/<name>.csv.
 #pragma once

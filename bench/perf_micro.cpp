@@ -1,6 +1,6 @@
 // google-benchmark microbenches for the hot paths: RRC codec, diag framing,
 // event evaluation, reselection ranking, the end-to-end extract pipeline,
-// dataset I/O (CSV vs the MMDS v1 binary format at ~1M rows), the
+// dataset I/O (CSV and the MMDS v2 store at ~1M rows), the
 // analysis query path (legacy ConfigDatabase scans vs the ColumnarView),
 // and the deterministic parallel simulation engine (crawl + campaign
 // thread scaling).
@@ -299,7 +299,7 @@ BENCHMARK(BM_IngestDeviceScaling)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- dataset I/O: CSV vs MMDS v1 binary at ~1M rows --------------------------
+// --- dataset I/O: CSV at ~1M rows ---------------------------------------------
 
 // Synthetic D2-shaped database: 4 carriers x 2,500 cells x 100 observations
 // = 1M rows, with the real mix of params, timestamps, and contexts.
@@ -341,60 +341,6 @@ const std::string& dataset_csv() {
   return text;
 }
 
-const std::vector<std::uint8_t>& dataset_bin() {
-  static const auto bytes = [] {
-    std::vector<std::uint8_t> out;
-    core::save_dataset_binary(dataset_db(), out);
-    return out;
-  }();
-  return bytes;
-}
-
-// The pre-MMDS CSV loader (stringstream row split, stod/stoul fields),
-// frozen here as the baseline the binary format is measured against.
-core::LoadStats legacy_load_csv(std::istream& in, core::ConfigDatabase& db) {
-  std::string line;
-  std::getline(in, line);  // header
-  core::LoadStats stats;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++stats.rows;
-    std::stringstream row(line);
-    std::string field;
-    std::vector<std::string> fields;
-    while (std::getline(row, field, ',')) fields.push_back(field);
-    if (fields.size() != 10) {
-      ++stats.bad_rows;
-      continue;
-    }
-    const auto key = config::parse_param_name(fields[7]);
-    if (!key) {
-      ++stats.bad_rows;
-      continue;
-    }
-    try {
-      const int rat_raw = std::stoi(fields[2]);
-      if (rat_raw < 0 || rat_raw > 4) {
-        ++stats.bad_rows;
-        continue;
-      }
-      config::ParamObservation obs;
-      obs.key = *key;
-      obs.value = std::stod(fields[8]);
-      obs.context = std::stoll(fields[9]);
-      db.add_snapshot(
-          fields[0], static_cast<std::uint32_t>(std::stoul(fields[1])),
-          static_cast<spectrum::Rat>(rat_raw),
-          static_cast<std::uint32_t>(std::stoul(fields[3])),
-          {std::stod(fields[4]), std::stod(fields[5])},
-          SimTime{std::stoll(fields[6])}, {obs});
-    } catch (const std::exception&) {
-      ++stats.bad_rows;
-    }
-  }
-  return stats;
-}
-
 void BM_DatasetSaveCsv(benchmark::State& state) {
   const auto& db = dataset_db();
   for (auto _ : state) {
@@ -409,20 +355,6 @@ void BM_DatasetSaveCsv(benchmark::State& state) {
 }
 BENCHMARK(BM_DatasetSaveCsv)->Unit(benchmark::kMillisecond);
 
-void BM_DatasetLoadCsvLegacy(benchmark::State& state) {
-  for (auto _ : state) {
-    std::istringstream in(dataset_csv());
-    core::ConfigDatabase db;
-    benchmark::DoNotOptimize(legacy_load_csv(in, db));
-  }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(dataset_db().total_samples()));
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dataset_csv().size()));
-}
-BENCHMARK(BM_DatasetLoadCsvLegacy)->Unit(benchmark::kMillisecond);
-
 void BM_DatasetLoadCsv(benchmark::State& state) {
   for (auto _ : state) {
     std::istringstream in(dataset_csv());
@@ -436,37 +368,6 @@ void BM_DatasetLoadCsv(benchmark::State& state) {
                           static_cast<std::int64_t>(dataset_csv().size()));
 }
 BENCHMARK(BM_DatasetLoadCsv)->Unit(benchmark::kMillisecond);
-
-void BM_DatasetSaveBin(benchmark::State& state) {
-  const auto& db = dataset_db();
-  for (auto _ : state) {
-    std::vector<std::uint8_t> out;
-    core::save_dataset_binary(db, out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(db.total_samples()));
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dataset_bin().size()));
-}
-BENCHMARK(BM_DatasetSaveBin)->Unit(benchmark::kMillisecond);
-
-void BM_DatasetLoadBin(benchmark::State& state) {
-  const auto& bytes = dataset_bin();
-  const auto threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    core::ConfigDatabase db;
-    benchmark::DoNotOptimize(
-        core::load_dataset_binary(bytes.data(), bytes.size(), db, threads));
-  }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(dataset_db().total_samples()));
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bytes.size()));
-}
-BENCHMARK(BM_DatasetLoadBin)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // --- analysis queries: legacy scans vs the columnar view ---------------------
 // Same 1M-row database the dataset-I/O benches use.  The "values sweep" is

@@ -11,7 +11,6 @@
 
 #include "mmlab/core/cell_fold.hpp"
 #include "mmlab/util/byteio.hpp"
-#include "mmlab/util/crc.hpp"
 #include "mmlab/util/worker_pool.hpp"
 
 namespace mmlab::store {
@@ -105,9 +104,6 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
   const auto parse_one = [&](ParsedBlock& pb) {
     const BlockInfo& info = *set_->blocks()[pb.global].info;
     const auto body = set_->block_body(pb.global);
-    if (crc16_ccitt(body.data(), body.size()) != info.crc16)
-      throw std::runtime_error("block CRC mismatch at shard offset " +
-                               std::to_string(info.offset));
     // Every cell's wire structure is walked (and the manifest's raw
     // counts/ranges validated against it), but only in-range cells
     // materialize and only selected params' values decode.  A plan without
@@ -120,9 +116,9 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
     std::uint32_t first_raw = 0, last_raw = 0;
     bool any = false;
     core::CellRecord rec;
-    core::mmds::CellScan scan;
+    mmds::CellScan scan;
     while (r.remaining() > 0) {
-      const std::uint32_t id = core::mmds::parse_cell_filtered(
+      const std::uint32_t id = mmds::parse_cell_filtered(
           r, set_->params(), keep, job.min_cell, job.max_cell, rec, scan);
       if (any && id <= last_raw)
         throw std::runtime_error("cell ids not ascending within a block");

@@ -2,11 +2,150 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 
-#include "mmlab/util/byteio.hpp"
 #include "mmlab/util/crc.hpp"
 
 namespace mmlab::store {
+
+// --- cell codec ---------------------------------------------------------------
+
+namespace mmds {
+
+namespace {
+
+class MmdsError : public std::runtime_error {
+ public:
+  explicit MmdsError(const std::string& what) : std::runtime_error(what) {}
+};
+
+std::uint32_t checked_u32(std::uint64_t v, const char* what) {
+  if (v > 0xFFFFFFFFull)
+    throw MmdsError(std::string(what) + " out of 32-bit range");
+  return static_cast<std::uint32_t>(v);
+}
+
+/// The fixed per-cell prefix shared by parse_cell and parse_cell_filtered.
+struct CellHeader {
+  std::uint32_t id;
+  std::uint8_t rat_raw;
+  std::uint32_t channel;
+  double x, y;
+  std::uint64_t n_obs;
+};
+
+CellHeader parse_cell_header(ByteReader& r) {
+  CellHeader h;
+  h.id = checked_u32(r.varint(), "cell_id");
+  h.rat_raw = r.u8();
+  if (h.rat_raw > kMaxRat) throw MmdsError("rat out of range");
+  h.channel = checked_u32(r.varint(), "channel");
+  h.x = r.f64le();
+  h.y = r.f64le();
+  h.n_obs = r.varint();
+  // Each observation is at least 11 bytes; a count beyond that is
+  // corruption — catch it before reserve() tries to allocate it.
+  if (h.n_obs > r.remaining() / 11 + 1)
+    throw MmdsError("observation count exceeds block size");
+  return h;
+}
+
+void parse_observations(ByteReader& r, std::uint64_t n_obs,
+                        const std::vector<config::ParamKey>& params,
+                        std::vector<core::Observation>& out) {
+  out.reserve(out.size() + static_cast<std::size_t>(n_obs));
+  std::int64_t t_ms = 0;
+  for (std::uint64_t i = 0; i < n_obs; ++i) {
+    t_ms += r.svarint();
+    const std::uint64_t param_index = r.varint();
+    if (param_index >= params.size())
+      throw MmdsError("param index out of range");
+    const double value = r.f64le();
+    const std::int64_t context = r.svarint();
+    out.push_back({params[param_index], value, SimTime{t_ms}, context});
+  }
+}
+
+}  // namespace
+
+void encode_cell(ByteWriter& out, std::uint32_t id,
+                 const core::CellRecord& rec, const ParamIndexMap& params) {
+  out.varint(id);
+  out.u8(static_cast<std::uint8_t>(rec.rat));
+  out.varint(rec.channel);
+  out.f64le(rec.position.x);
+  out.f64le(rec.position.y);
+  out.varint(rec.observations.size());
+  std::int64_t prev_t = 0;
+  for (const auto& obs : rec.observations) {
+    out.svarint(obs.t.ms - prev_t);
+    prev_t = obs.t.ms;
+    out.varint(params.get(obs.key));
+    out.f64le(obs.value);
+    out.svarint(obs.context);
+  }
+}
+
+std::size_t parse_cell(ByteReader& r, const std::string& carrier,
+                       const std::vector<config::ParamKey>& params,
+                       core::ConfigDatabase& out) {
+  const CellHeader h = parse_cell_header(r);
+  core::CellRecord& rec = out.upsert_cell(carrier, h.id);
+  if (rec.observations.empty()) {
+    rec.cell_id = h.id;
+    rec.rat = static_cast<spectrum::Rat>(h.rat_raw);
+    rec.channel = h.channel;
+    rec.position = {h.x, h.y};
+  }
+  parse_observations(r, h.n_obs, params, rec.observations);
+  return static_cast<std::size_t>(h.n_obs);
+}
+
+std::uint32_t parse_cell_filtered(ByteReader& r,
+                                  const std::vector<config::ParamKey>& params,
+                                  const std::vector<char>& keep,
+                                  std::uint32_t min_cell,
+                                  std::uint32_t max_cell,
+                                  core::CellRecord& rec, CellScan& scan) {
+  const CellHeader h = parse_cell_header(r);
+  rec.observations.clear();  // keep capacity for a reused record
+  rec.cell_id = h.id;
+  rec.rat = static_cast<spectrum::Rat>(h.rat_raw);
+  rec.channel = h.channel;
+  rec.position = {h.x, h.y};
+  scan.rows = h.n_obs;
+  scan.values_skipped = 0;
+  scan.front_t_ms = 0;
+  scan.has_front = h.n_obs > 0;
+  const bool in_range = h.id >= min_cell && h.id <= max_cell;
+  if (in_range && keep.empty()) {
+    parse_observations(r, h.n_obs, params, rec.observations);
+    if (!rec.observations.empty()) scan.front_t_ms = rec.observations.front().t.ms;
+    return h.id;
+  }
+  std::int64_t t_ms = 0;
+  for (std::uint64_t i = 0; i < h.n_obs; ++i) {
+    t_ms += r.svarint();
+    if (i == 0) scan.front_t_ms = t_ms;
+    const std::uint64_t param_index = r.varint();
+    if (param_index >= params.size())
+      throw MmdsError("param index out of range");
+    if (in_range && (keep.empty() || keep[param_index])) {
+      const double value = r.f64le();
+      rec.observations.push_back(
+          {params[param_index], value, SimTime{t_ms}, r.svarint()});
+    } else {
+      r.skip(8);
+      ++scan.values_skipped;
+      (void)r.svarint();  // context: varint-decoded only to advance
+    }
+  }
+  return h.id;
+}
+
+}  // namespace mmds
+
+// --- manifest -----------------------------------------------------------------
 
 namespace {
 
@@ -14,7 +153,7 @@ namespace {
 constexpr std::uint8_t kFlagBlockExtras = 0x01;
 
 std::string manifest_path(const std::string& dir) {
-  return (std::filesystem::path(dir) / core::kMmds2ManifestName).string();
+  return (std::filesystem::path(dir) / kMmds2ManifestName).string();
 }
 
 }  // namespace
@@ -34,8 +173,8 @@ std::uint64_t Manifest::total_blocks() const {
 
 void write_manifest(const std::string& dir, const Manifest& m) {
   ByteWriter w;
-  w.raw(core::kMmdsMagic, sizeof(core::kMmdsMagic));
-  w.u8(core::kMmds2Version);
+  w.raw(kMmdsMagic, sizeof(kMmdsMagic));
+  w.u8(kMmds2Version);
   w.u8(kFlagBlockExtras);
   w.varint(m.carriers.size());
   for (const auto& c : m.carriers) w.str(c);
@@ -73,15 +212,15 @@ Result<Manifest> read_manifest(const std::string& dir) {
   std::vector<std::uint8_t> bytes;
   if (!read_file_bytes(manifest_path(dir), bytes))
     return R::error("read_manifest: cannot open " + manifest_path(dir));
-  if (bytes.size() < sizeof(core::kMmdsMagic) + 2 + 2)
+  if (bytes.size() < sizeof(kMmdsMagic) + 2 + 2)
     return R::error("read_manifest: file too small for a manifest header");
-  if (std::memcmp(bytes.data(), core::kMmdsMagic,
-                  sizeof(core::kMmdsMagic)) != 0)
+  if (std::memcmp(bytes.data(), kMmdsMagic,
+                  sizeof(kMmdsMagic)) != 0)
     return R::error("read_manifest: bad magic (not an MMDS manifest)");
-  if (bytes[4] != core::kMmds2Version)
+  if (bytes[4] != kMmds2Version)
     return R::error("read_manifest: unsupported version " +
                     std::to_string(bytes[4]) + " (expected " +
-                    std::to_string(core::kMmds2Version) + ")");
+                    std::to_string(kMmds2Version) + ")");
   // Same policy as the version byte: a flag bit we don't know changes the
   // block-entry layout, so refusing is the only safe reading.
   if (bytes[5] & ~kFlagBlockExtras)
@@ -101,7 +240,7 @@ Result<Manifest> read_manifest(const std::string& dir) {
 
   try {
     ByteReader r(bytes.data(), size - 2);
-    r.skip(sizeof(core::kMmdsMagic) + 2);
+    r.skip(sizeof(kMmdsMagic) + 2);
     Manifest m;
     m.carriers.resize(r.varint());
     for (auto& c : m.carriers) c = std::string(r.str());
@@ -154,6 +293,35 @@ Result<Manifest> read_manifest(const std::string& dir) {
   } catch (const std::exception& e) {
     return R::error("read_manifest: " + std::string(e.what()));
   }
+}
+
+// --- format dispatch ----------------------------------------------------------
+
+Result<DatasetFormat> detect_dataset_format(const std::string& path) {
+  using R = Result<DatasetFormat>;
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    // A v2 store is a directory; only the manifest marks it as one (any
+    // other directory falls through to the CSV loader's open failure).
+    if (std::filesystem::exists(std::filesystem::path(path) /
+                                    kMmds2ManifestName,
+                                ec))
+      return DatasetFormat::kMmds2;
+    return DatasetFormat::kCsv;
+  }
+  std::ifstream in(path, std::ios::binary);
+  char head[sizeof(kMmdsMagic) + 1] = {};
+  in.read(head, sizeof(head));
+  if (in.gcount() < static_cast<std::streamsize>(sizeof(kMmdsMagic)) ||
+      std::memcmp(head, kMmdsMagic, sizeof(kMmdsMagic)) != 0)
+    return DatasetFormat::kCsv;
+  if (in.gcount() < static_cast<std::streamsize>(sizeof(head)))
+    return R::error(path + ": truncated MMDS header");
+  const auto version = static_cast<std::uint8_t>(head[4]);
+  if (version == kMmds2Version) return DatasetFormat::kMmds2;
+  return R::error(path + ": unsupported MMDS version " +
+                  std::to_string(version) +
+                  " (only version-2 store directories are read)");
 }
 
 }  // namespace mmlab::store

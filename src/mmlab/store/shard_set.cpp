@@ -113,8 +113,15 @@ Result<ShardSet> ShardSet::open(std::string dir) {
 
 std::span<const std::uint8_t> ShardSet::block_body(std::size_t index) const {
   const BlockRef& ref = blocks_[index];
-  return {maps_[ref.shard].data() + ref.info->offset,
-          static_cast<std::size_t>(ref.info->length)};
+  const std::span<const std::uint8_t> body{
+      maps_[ref.shard].data() + ref.info->offset,
+      static_cast<std::size_t>(ref.info->length)};
+  if (crc16_ccitt(body.data(), body.size()) != ref.info->crc16)
+    throw std::runtime_error("block CRC mismatch in " +
+                             manifest_.shards[ref.shard].filename +
+                             " at offset " +
+                             std::to_string(ref.info->offset));
+  return body;
 }
 
 void ShardSet::release_block(std::size_t index) const {
@@ -168,7 +175,7 @@ std::size_t parse_block_body(const ShardSet& set, std::size_t index,
   std::size_t rows = 0;
   std::uint64_t cells = 0;
   while (r.remaining() > 0) {
-    rows += core::mmds::parse_cell(r, carrier, set.params(), out);
+    rows += mmds::parse_cell(r, carrier, set.params(), out);
     ++cells;
   }
   if (cells != info.cell_count || rows != info.row_count)

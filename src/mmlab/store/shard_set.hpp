@@ -8,10 +8,12 @@
 // fold parses every cell it keeps into its own records, which is what lets
 // it madvise a consumed block away mid-fold.
 //
-// Integrity is two-layered: the manifest carries its own CRC trailer
-// (checked at open) plus a per-shard whole-file CRC, checked by verify()
-// with a streaming reader — never via the mapping, so a verify pass does
-// not fault the whole store into RSS.
+// Integrity is three-layered: the manifest carries its own CRC trailer
+// (checked at open), every block body's CRC (checked by block_body, the
+// only way a reader — load_database or the direct fold — gets a block's
+// bytes), and a per-shard whole-file CRC, checked by verify() with a
+// streaming reader — never via the mapping, so a verify pass does not
+// fault the whole store into RSS.
 //
 // Concurrency: an opened ShardSet is immutable — every accessor below is a
 // const read over state fixed at open(), and block_body/release_block touch
@@ -79,7 +81,8 @@ class ShardSet {
   };
   const std::vector<BlockRef>& blocks() const { return blocks_; }
 
-  /// The mapped body bytes of global block `index`.
+  /// The mapped body bytes of global block `index`, checked against the
+  /// block's manifest CRC first: throws std::runtime_error on a mismatch.
   std::span<const std::uint8_t> block_body(std::size_t index) const;
   /// Advise the kernel the block's bytes are consumed: drops this
   /// mapping's page-table entries, not the page cache, so a re-read
@@ -101,10 +104,11 @@ class ShardSet {
 };
 
 /// Materialize the whole store as an in-memory ConfigDatabase: every block
-/// parses into a private database (concurrently for threads != 1; 0 = all
-/// cores), then the per-block databases merge in global block order — so
-/// the result is identical for every thread count, and identical to the
-/// chunk-merge contract the streaming writer documents.
+/// is CRC-checked (block_body) and parses into a private database (concurrently for
+/// threads != 1; 0 = all cores), then the per-block databases merge in
+/// global block order — so the result is identical for every thread count,
+/// and identical to the chunk-merge contract the streaming writer
+/// documents.  Any damaged block fails the whole load.
 Result<core::LoadStats> load_database(const ShardSet& set,
                                       core::ConfigDatabase& db,
                                       unsigned threads = 1);

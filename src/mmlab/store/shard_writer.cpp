@@ -56,7 +56,7 @@ void ShardWriter::add_cell(const std::string& carrier, std::uint32_t id,
     block_cells_ = 0;
     block_rows_ = 0;
   }
-  core::mmds::encode_cell(block_, id, rec, param_index_);
+  mmds::encode_cell(block_, id, rec, param_index_);
   last_id_ = id;
   ++block_cells_;
   block_rows_ += rec.observations.size();

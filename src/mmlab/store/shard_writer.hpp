@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "mmlab/core/database.hpp"
-#include "mmlab/core/dataset_io.hpp"
 #include "mmlab/store/mmds2.hpp"
 #include "mmlab/util/byteio.hpp"
 
@@ -76,7 +75,7 @@ class ShardWriter {
   Manifest manifest_;
   std::map<std::string, std::uint32_t> carrier_index_;
   std::set<config::ParamKey> seen_params_;
-  core::mmds::ParamIndexMap param_index_;
+  mmds::ParamIndexMap param_index_;
 
   std::unique_ptr<BufferedFileWriter> shard_;
   ByteWriter block_;

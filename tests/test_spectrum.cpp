@@ -2,7 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace mmlab::spectrum {
+
+// Without this, gtest prints the raw bytes of the band row — including the
+// label pointer, which ASLR moves on every run — into the listed test name,
+// so the discovered CTest names differ between builds.  (Outside the
+// anonymous namespace: gtest finds it by argument-dependent lookup.)
+void PrintTo(const LteBandInfo& band, std::ostream* os) {
+  *os << "EARFCN " << band.earfcn_lo << "-" << band.earfcn_hi << " from "
+      << band.f_dl_low_mhz << " MHz";
+}
+
 namespace {
 
 TEST(Rat, Names) {
