@@ -28,6 +28,7 @@
 #include "mmlab/store/analytics.hpp"
 #include "mmlab/store/shard_set.hpp"
 #include "mmlab/store/shard_writer.hpp"
+#include "mmlab/util/worker_pool.hpp"
 #include "mmlab/util/crc.hpp"
 
 #include <filesystem>
@@ -356,16 +357,18 @@ void BM_DatasetSaveCsv(benchmark::State& state) {
 BENCHMARK(BM_DatasetSaveCsv)->Unit(benchmark::kMillisecond);
 
 void BM_DatasetLoadCsv(benchmark::State& state) {
+  // Fixtures first: run on its own, the bench must not time their build.
+  const auto& csv = dataset_csv();
+  const auto& db = dataset_db();
   for (auto _ : state) {
-    std::istringstream in(dataset_csv());
-    core::ConfigDatabase db;
-    benchmark::DoNotOptimize(core::load_dataset(in, db));
+    std::istringstream in(csv);
+    core::ConfigDatabase loaded;
+    benchmark::DoNotOptimize(core::load_dataset(in, loaded));
   }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(dataset_db().total_samples()));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(db.total_samples()));
   state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dataset_csv().size()));
+                          static_cast<std::int64_t>(csv.size()));
 }
 BENCHMARK(BM_DatasetLoadCsv)->Unit(benchmark::kMillisecond);
 
@@ -541,7 +544,7 @@ const std::string& store_dir() {
   return dir;
 }
 
-void BM_StoreSaveV2(benchmark::State& state) {
+void run_store_save(benchmark::State& state, unsigned threads) {
   const auto& db = dataset_db();
   const std::string path =
       (std::filesystem::temp_directory_path() / "mmlab_bench_store_save")
@@ -550,13 +553,72 @@ void BM_StoreSaveV2(benchmark::State& state) {
     state.PauseTiming();
     std::filesystem::remove_all(path);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(store::save_database(db, path).bytes);
+    benchmark::DoNotOptimize(
+        store::save_database(db, path, {}, threads).bytes);
   }
   std::filesystem::remove_all(path);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(db.total_samples()));
 }
+
+// save_database's default thread count (all cores).
+void BM_StoreSaveV2(benchmark::State& state) { run_store_save(state, 0); }
 BENCHMARK(BM_StoreSaveV2)->Unit(benchmark::kMillisecond);
+
+void BM_StoreSaveV2Threads(benchmark::State& state) {
+  run_store_save(state, static_cast<unsigned>(state.range(0)));
+}
+BENCHMARK(BM_StoreSaveV2Threads)->Name("BM_StoreSaveV2")->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The ingest drain's shape over the same 1M rows: 8 shards (device
+// uploads), each holding every 8th observation of every cell, merged in
+// shard order by ConfigDatabase::merge_all.  The shards are copied outside
+// the timed region.
+const std::vector<core::ConfigDatabase>& dataset_shards() {
+  static const auto shards = [] {
+    constexpr std::size_t kShards = 8;
+    std::vector<core::ConfigDatabase> out(kShards);
+    for (const auto& [carrier, cells] : dataset_db().carriers())
+      for (const auto& [id, rec] : cells)
+        for (std::size_t i = 0; i < rec.observations.size(); ++i) {
+          auto& part = out[i % kShards].upsert_cell(carrier, id);
+          if (part.observations.empty()) {
+            part.cell_id = rec.cell_id;
+            part.rat = rec.rat;
+            part.channel = rec.channel;
+            part.position = rec.position;
+          }
+          part.observations.push_back(rec.observations[i]);
+        }
+    return out;
+  }();
+  return shards;
+}
+
+void BM_DatabaseMergeAll(benchmark::State& state) {
+  const auto& shards = dataset_shards();
+  const auto threads = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    // Copied on pool threads, as the decode workers build the real shards.
+    std::vector<core::ConfigDatabase> parts(shards.size());
+    parallel_for_index(4, shards.size(),
+                       [&](std::size_t i) { parts[i] = shards[i]; });
+    state.ResumeTiming();
+    core::ConfigDatabase db;
+    db.merge_all(std::move(parts), threads);
+    benchmark::DoNotOptimize(db.total_cells());
+    state.PauseTiming();
+    db = core::ConfigDatabase{};  // freeing is not the merge's cost
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(dataset_db().total_samples()));
+}
+BENCHMARK(BM_DatabaseMergeAll)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_StoreLoadV2(benchmark::State& state) {
   const auto& dir = store_dir();

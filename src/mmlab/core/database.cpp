@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "mmlab/util/worker_pool.hpp"
+
 namespace mmlab::core {
 
 std::vector<double> CellRecord::unique_values(config::ParamKey key) const {
@@ -82,16 +84,57 @@ void ConfigDatabase::add_snapshot(
     rec.observations.push_back({p.key, p.value, t, p.context});
 }
 
-void ConfigDatabase::merge(ConfigDatabase&& other) {
-  for (auto& [carrier, cells] : other.carriers_) {
-    CellMap& dst = carriers_[carrier];
-    for (auto& [id, rec] : cells) {
-      auto [it, inserted] = dst.try_emplace(id, std::move(rec));
-      if (inserted) continue;
-      it->second.merge_from(std::move(rec));
-    }
+namespace {
+
+/// One carrier's step of ConfigDatabase::merge: absorb `src` into `dst`,
+/// leaving `src` empty.
+void merge_cells(ConfigDatabase::CellMap& dst, ConfigDatabase::CellMap& src) {
+  for (auto& [id, rec] : src) {
+    auto [it, inserted] = dst.try_emplace(id, std::move(rec));
+    if (!inserted) it->second.merge_from(std::move(rec));
   }
+  src.clear();
+}
+
+}  // namespace
+
+void ConfigDatabase::merge(ConfigDatabase&& other) {
+  for (auto& [carrier, cells] : other.carriers_)
+    merge_cells(carriers_[carrier], cells);
   other.carriers_.clear();
+}
+
+void ConfigDatabase::merge_all(std::vector<ConfigDatabase>&& shards,
+                               unsigned threads) {
+  struct Chain {
+    CellMap* dst = nullptr;
+    std::vector<CellMap*> parts;  ///< input order
+    std::size_t cells = 0;        ///< the scheduling weight
+  };
+  std::map<std::string, Chain> by_carrier;
+  for (auto& shard : shards)
+    for (auto& [carrier, cells] : shard.carriers_) {
+      Chain& chain = by_carrier[carrier];
+      chain.parts.push_back(&cells);
+      chain.cells += cells.size();
+    }
+  // Destination maps are created here, on the calling thread, so the jobs
+  // below touch only their own carrier's CellMaps.
+  std::vector<Chain*> jobs;
+  jobs.reserve(by_carrier.size());
+  for (auto& [carrier, chain] : by_carrier) {
+    chain.dst = &carriers_[carrier];
+    chain.cells += chain.dst->size();
+    jobs.push_back(&chain);
+  }
+  std::stable_sort(jobs.begin(), jobs.end(),
+                   [](const Chain* a, const Chain* b) {
+                     return a->cells > b->cells;
+                   });
+  parallel_for_index(threads, jobs.size(), [&jobs](std::size_t i) {
+    for (CellMap* part : jobs[i]->parts) merge_cells(*jobs[i]->dst, *part);
+  });
+  shards.clear();
 }
 
 const ConfigDatabase::CellMap* ConfigDatabase::cells_of(

@@ -87,6 +87,15 @@ class ConfigDatabase {
   /// observation, matching what serial extraction would have recorded first.
   void merge(ConfigDatabase&& other);
 
+  /// Absorb `shards` in order: the result equals merge(shards[0]);
+  /// merge(shards[1]); ... into *this, for every thread count.  merge never
+  /// crosses carriers, so the shards are grouped by carrier and each
+  /// carrier's chain — this database's cells, then that carrier's cells of
+  /// every shard in input order — runs as one job on up to `threads`
+  /// workers (0 = hardware concurrency, 1 = the calling thread only),
+  /// largest carrier first.  `shards` is left empty.
+  void merge_all(std::vector<ConfigDatabase>&& shards, unsigned threads);
+
   bool operator==(const ConfigDatabase&) const = default;
 
   const std::map<std::string, CellMap>& carriers() const { return carriers_; }

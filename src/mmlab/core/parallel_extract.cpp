@@ -63,10 +63,11 @@ ParallelExtractStats extract_configs_parallel(const std::vector<LogView>& logs,
   }
   out.extract_seconds = seconds_since(extract_start);
 
-  // Stage 2: fold the shards in input order — the order-sensitive half, kept
-  // on the calling thread so the result is deterministic.
+  // Stage 2: fold the shards in input order, one carrier per job — each
+  // carrier's chain walks the shards in input order, so the result is the
+  // serial merge chain's.
   const auto merge_start = std::chrono::steady_clock::now();
-  for (auto& shard : shards) db.merge(std::move(shard));
+  db.merge_all(std::move(shards), out.threads);
   out.merge_seconds = seconds_since(merge_start);
 
   for (const auto& stats : out.per_log) out.totals += stats;

@@ -3,8 +3,9 @@
 //
 // Decoding is embarrassingly parallel across logs (MobileInsight's offline
 // replayer has the same shape): each worker replays one log into a private
-// ConfigDatabase shard, then the shards are merged on the calling thread in
-// input order.  Per-log shards plus ordered merging make the result
+// ConfigDatabase shard, then the shards are merged in input order
+// (ConfigDatabase::merge_all, one carrier per job).  Per-log shards plus
+// ordered merging make the result
 // bit-identical to running serial extract_configs() over the same logs in
 // the same order, whatever the thread count or scheduling.
 #pragma once

@@ -337,33 +337,45 @@ void Service::wait_quiescent() {
   idle_cv_.wait(lock, [this] { return undecoded_ == 0; });
 }
 
-core::ConfigDatabase Service::drain() {
-  wait_quiescent();
-  std::vector<std::pair<SessionId, core::ConfigDatabase>> shards;
-  for (auto& stripe : stripes_) {
-    std::lock_guard lock(stripe->mu);
-    for (auto& entry : stripe->sealed) shards.push_back(std::move(entry));
-    stripe->sealed.clear();
-  }
-  std::sort(shards.begin(), shards.end(),
+namespace {
+
+using SealedShards = std::vector<std::pair<SessionId, core::ConfigDatabase>>;
+
+/// drain()'s and snapshot()'s shared tail: the sealed shards merged in
+/// session-id order, one carrier per job.
+core::ConfigDatabase merge_in_session_order(SealedShards sealed,
+                                            unsigned threads) {
+  std::sort(sealed.begin(), sealed.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<core::ConfigDatabase> shards;
+  shards.reserve(sealed.size());
+  for (auto& [id, shard] : sealed) shards.push_back(std::move(shard));
   core::ConfigDatabase db;
-  for (auto& [id, shard] : shards) db.merge(std::move(shard));
+  db.merge_all(std::move(shards), threads);
   return db;
 }
 
+}  // namespace
+
+core::ConfigDatabase Service::drain() {
+  wait_quiescent();
+  SealedShards sealed;
+  for (auto& stripe : stripes_) {
+    std::lock_guard lock(stripe->mu);
+    for (auto& entry : stripe->sealed) sealed.push_back(std::move(entry));
+    stripe->sealed.clear();
+  }
+  return merge_in_session_order(std::move(sealed), workers_configured_);
+}
+
 core::ConfigDatabase Service::snapshot() const {
-  std::vector<std::pair<SessionId, core::ConfigDatabase>> shards;
+  SealedShards sealed;
   for (const auto& stripe : stripes_) {
     std::lock_guard lock(stripe->mu);
-    for (const auto& [id, shard] : stripe->sealed)
-      shards.emplace_back(id, shard);  // copy; the store is undisturbed
+    // A copy: the store is undisturbed.
+    sealed.insert(sealed.end(), stripe->sealed.begin(), stripe->sealed.end());
   }
-  std::sort(shards.begin(), shards.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  core::ConfigDatabase db;
-  for (auto& [id, shard] : shards) db.merge(std::move(shard));
-  return db;
+  return merge_in_session_order(std::move(sealed), workers_configured_);
 }
 
 std::size_t Service::live_sessions() const {

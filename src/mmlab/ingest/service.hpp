@@ -46,9 +46,13 @@
 //
 // Determinism: session ids are handed out in open order, every session is
 // decoded strictly in chunk order, and snapshot()/drain() merge the sealed
-// per-session shards in session-id order.  The result is therefore a pure
-// function of (session contents, open order) — chunk sizes, worker count,
-// queue capacity, and scheduling cannot change a single byte of it.  Aborted
+// per-session shards with ConfigDatabase::merge_all: one job per carrier on
+// the service's worker count, each walking that carrier's shards in
+// session-id order.  merge never crosses carriers, so that equals merging
+// the whole shards one after another in session-id order.  The result is
+// therefore a pure function of (session contents, open order) — chunk
+// sizes, worker count, queue capacity, and scheduling cannot change a single
+// byte of it.  Aborted
 // sessions contribute nothing.  When the sessions partition a crawl's
 // carrier logs at camp boundaries (see sim::split_crawl_uploads), that
 // function equals serial extract_configs() over the original logs, because
@@ -144,8 +148,8 @@ class Service {
   void wait_quiescent();
 
   /// wait_quiescent(), then move the sealed shards out, merged in
-  /// session-id order. The service keeps running; later sessions start a
-  /// fresh accumulation.
+  /// session-id order (one carrier per job on worker_count() threads). The
+  /// service keeps running; later sessions start a fresh accumulation.
   core::ConfigDatabase drain();
 
   /// Deterministic merged copy of the *sealed* shards only (open sessions'

@@ -86,6 +86,20 @@ void encode_cell(ByteWriter& out, std::uint32_t id,
   }
 }
 
+std::size_t encoded_size(std::uint32_t id, const core::CellRecord& rec,
+                         const ParamIndexMap& params) {
+  std::size_t n = varint_size(id) + 1 + varint_size(rec.channel) + 16 +
+                  varint_size(rec.observations.size());
+  std::int64_t prev_t = 0;
+  for (const auto& obs : rec.observations) {
+    n += varint_size(zigzag_encode(obs.t.ms - prev_t)) +
+         varint_size(params.get(obs.key)) + 8 +
+         varint_size(zigzag_encode(obs.context));
+    prev_t = obs.t.ms;
+  }
+  return n;
+}
+
 std::size_t parse_cell(ByteReader& r, const std::string& carrier,
                        const std::vector<config::ParamKey>& params,
                        core::ConfigDatabase& out) {
@@ -296,6 +310,17 @@ Result<Manifest> read_manifest(const std::string& dir) {
 }
 
 // --- format dispatch ----------------------------------------------------------
+
+std::string store_directory(const std::string& path) {
+  const std::filesystem::path p(path);
+  std::error_code ec;
+  if (p.filename() == kMmds2ManifestName &&
+      std::filesystem::is_regular_file(p, ec)) {
+    const std::filesystem::path parent = p.parent_path();
+    return parent.empty() ? "." : parent.string();
+  }
+  return path;
+}
 
 Result<DatasetFormat> detect_dataset_format(const std::string& path) {
   using R = Result<DatasetFormat>;

@@ -114,6 +114,12 @@ class ParamIndexMap {
 void encode_cell(ByteWriter& out, std::uint32_t id,
                  const core::CellRecord& rec, const ParamIndexMap& params);
 
+/// The exact number of bytes encode_cell appends for the same arguments,
+/// computed without encoding (save_database cuts blocks with it before any
+/// byte is written).
+std::size_t encoded_size(std::uint32_t id, const core::CellRecord& rec,
+                         const ParamIndexMap& params);
+
 /// Parse one cell into `out` (upsert semantics: observations append, cell
 /// identity metadata is taken only when the record was fresh).  Returns the
 /// observation count.  Throws std::runtime_error subclasses on structural
@@ -204,6 +210,12 @@ Result<Manifest> read_manifest(const std::string& dir);
 // --- format dispatch ----------------------------------------------------------
 
 enum class DatasetFormat { kCsv, kMmds2 };
+
+/// The store directory `path` names: `path` itself, or the directory of
+/// the manifest file when `path` names a manifest.mmds2 file.
+/// ShardSet::open resolves its argument through this, so every reader takes
+/// both spellings that detect_dataset_format sniffs as kMmds2.
+std::string store_directory(const std::string& path);
 
 /// Sniff a path: a directory holding a manifest.mmds2, or a bare manifest
 /// file, is kMmds2; any other path is kCsv (the CSV loader reports its own

@@ -73,6 +73,7 @@ void MappedFile::release(std::size_t offset, std::size_t length) const {
 
 Result<ShardSet> ShardSet::open(std::string dir) {
   using R = Result<ShardSet>;
+  dir = store_directory(dir);
   auto manifest = read_manifest(dir);
   if (!manifest) return R::error(manifest.error_message());
 
@@ -205,17 +206,12 @@ Result<core::LoadStats> load_database(const ShardSet& set,
         errors[i] = e.what();
       }
     };
-    if (threads == 1 || n <= 1) {
-      for (std::size_t i = 0; i < n; ++i) parse_one(i);
-    } else {
-      parallel_for_index(threads, n, parse_one);
-    }
+    parallel_for_index(threads, n, parse_one);
     for (const auto& err : errors)
       if (!err.empty()) return R::error("load_database: " + err);
-    for (std::size_t i = 0; i < n; ++i) {
-      db.merge(std::move(parts[i]));
-      stats.rows += static_cast<std::size_t>(set.blocks()[i].info->row_count);
-    }
+    db.merge_all(std::move(parts), threads);
+    for (const auto& ref : set.blocks())
+      stats.rows += static_cast<std::size_t>(ref.info->row_count);
     return stats;
   } catch (const std::exception& e) {
     return R::error("load_database: " + std::string(e.what()));

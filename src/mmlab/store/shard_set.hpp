@@ -67,7 +67,8 @@ class ShardSet {
  public:
   /// Parse the manifest, resolve parameters, map shards, and cross-check
   /// mapped sizes against the manifest.  Does NOT checksum shard payloads
-  /// (see verify()).
+  /// (see verify()).  `dir` may also name the store's manifest.mmds2 file
+  /// (store_directory); dir() is then the directory.
   static Result<ShardSet> open(std::string dir);
 
   const std::string& dir() const { return dir_; }
@@ -104,9 +105,10 @@ class ShardSet {
 };
 
 /// Materialize the whole store as an in-memory ConfigDatabase: every block
-/// is CRC-checked (block_body) and parses into a private database (concurrently for
-/// threads != 1; 0 = all cores), then the per-block databases merge in
-/// global block order — so the result is identical for every thread count,
+/// is CRC-checked (block_body) and parses into a private database
+/// (concurrently for threads != 1; 0 = all cores), then the per-block
+/// databases merge in global block order (ConfigDatabase::merge_all, one
+/// carrier per job) — so the result is identical for every thread count,
 /// and identical to the chunk-merge contract the streaming writer
 /// documents.  Any damaged block fails the whole load.
 Result<core::LoadStats> load_database(const ShardSet& set,

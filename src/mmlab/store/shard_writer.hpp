@@ -15,7 +15,29 @@
 // (ConfigDatabase::merge semantics).  When every cell's snapshots arrive in
 // nondecreasing time order — true of the generator and of any replayed
 // crawl — that is bit-identical to add_snapshot-ing everything into one big
-// database, so chunk size never changes results.
+// database, so chunk size never changes results.  Besides the chunk, the
+// sink holds ShardWriter's one block buffer.
+//
+// save_database writes a whole in-memory database on a worker pool and
+// writes the same bytes ShardWriter would for its cells in (carrier name,
+// cell id) order, for every thread count.  It does not stream through
+// ShardWriter; it plans first:
+//   1. one job per carrier lists the carrier's parameters in first-sight
+//      order and sizes each cell (mmds::encoded_size).  The lists,
+//      concatenated in carrier order without duplicates, are exactly the
+//      serial writer's first-sight parameter table, so every cell encodes
+//      to the same bytes;
+//   2. the calling thread cuts each carrier's cells into blocks where
+//      ShardWriter would: a block closes before a cell once it holds
+//      target_block_bytes;
+//   3. the blocks, in manifest order, are encoded and CRC'd as one job
+//      each and appended by the calling thread in that order through
+//      BlockAppender, which decides shard rotation and offsets as
+//      ShardWriter does.
+// Besides the database it is handed, save_database holds the plan (a few
+// words per cell, per block and per distinct parameter) and at most
+// 2 * threads encoded blocks — those being encoded and those waiting to be
+// appended — each under target_block_bytes plus one cell's encoding.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +71,37 @@ struct WriteStats {
   std::uint64_t bytes = 0;  ///< shard payload bytes, magics included
 };
 
+/// The shard-file half of both writers: appends finished block bodies to
+/// shard-NNNN.mmds2 files in order, closing a shard at a block boundary
+/// once it holds target_shard_bytes, and accumulates the manifest's shard
+/// table and the stats.  The manifest's carrier and parameter tables are
+/// the caller's to fill (manifest()).
+class BlockAppender {
+ public:
+  /// Creates `dir` if missing.  Throws std::runtime_error on I/O failure.
+  BlockAppender(std::string dir, WriterOptions options);
+
+  Manifest& manifest() { return manifest_; }
+
+  /// Append one block body of info.length bytes; `info` carries every
+  /// field but the offset, which the appender assigns.
+  void append(BlockInfo info, const std::uint8_t* body);
+
+  /// Close the open shard and write the manifest.  Idempotent; nothing may
+  /// be appended afterwards.
+  WriteStats finish();
+
+ private:
+  void close_shard();
+
+  std::string dir_;
+  WriterOptions options_;
+  Manifest manifest_;
+  std::unique_ptr<BufferedFileWriter> shard_;
+  WriteStats stats_;
+  bool finished_ = false;
+};
+
 class ShardWriter {
  public:
   /// The directory must already exist (or be creatable); it is created if
@@ -68,16 +121,13 @@ class ShardWriter {
 
  private:
   void flush_block();
-  void close_shard();
 
-  std::string dir_;
   WriterOptions options_;
-  Manifest manifest_;
+  BlockAppender out_;
   std::map<std::string, std::uint32_t> carrier_index_;
   std::set<config::ParamKey> seen_params_;
   mmds::ParamIndexMap param_index_;
 
-  std::unique_ptr<BufferedFileWriter> shard_;
   ByteWriter block_;
   // Current-block state; carrier index is valid only while in_block_.
   bool in_block_ = false;
@@ -86,7 +136,6 @@ class ShardWriter {
   std::uint32_t last_id_ = 0;
   std::uint64_t block_cells_ = 0;
   std::uint64_t block_rows_ = 0;
-  WriteStats stats_;
   bool finished_ = false;
 };
 
@@ -117,8 +166,12 @@ class StreamingDatasetSink {
 };
 
 /// One-shot: write an in-memory database as an MMDS v2 store (carriers in
-/// name order, each as one run — the canonical single-chunk layout).
+/// name order, each as one run — the canonical single-chunk layout), on
+/// `threads` workers (0 = hardware concurrency, 1 = the calling thread
+/// only).  The directory's bytes are the same for every thread count; see
+/// the header comment for the plan and the memory bound.
 WriteStats save_database(const core::ConfigDatabase& db,
-                         const std::string& dir, WriterOptions options = {});
+                         const std::string& dir, WriterOptions options = {},
+                         unsigned threads = 0);
 
 }  // namespace mmlab::store

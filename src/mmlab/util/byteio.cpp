@@ -14,22 +14,6 @@ void ByteWriter::u16le(std::uint16_t v) {
   bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
-void ByteWriter::f64le(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int i = 0; i < 8; ++i)
-    bytes_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-}
-
-void ByteWriter::varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    bytes_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  bytes_.push_back(static_cast<std::uint8_t>(v));
-}
-
 void ByteWriter::raw(const void* data, std::size_t size) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   bytes_.insert(bytes_.end(), p, p + size);
@@ -155,7 +139,24 @@ BufferedFileWriter::~BufferedFileWriter() {
 void BufferedFileWriter::write(const void* data, std::size_t size) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   crc_state_ = crc16_ccitt_update(crc_state_, p, size);
+  put(p, size);
+}
+
+void BufferedFileWriter::write_checksummed(const void* data, std::size_t size,
+                                           std::uint16_t crc16) {
+  crc_state_ = crc16_ccitt_combine(crc_state_, crc16, size);
+  put(static_cast<const std::uint8_t*>(data), size);
+}
+
+void BufferedFileWriter::put(const std::uint8_t* p, std::size_t size) {
   bytes_written_ += size;
+  if (size >= buffer_.size()) {
+    // Larger than the buffer: one direct write instead of copies through it.
+    flush();
+    if (std::fwrite(p, 1, size, file_) != size)
+      throw std::runtime_error("BufferedFileWriter: write failed: " + path_);
+    return;
+  }
   while (size > 0) {
     if (fill_ == buffer_.size()) flush();
     const std::size_t n = std::min(size, buffer_.size() - fill_);

@@ -7,6 +7,7 @@
 // in-memory copy on the write path.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +36,11 @@ constexpr std::int64_t zigzag_decode(std::uint64_t u) {
   return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
 }
 
+/// Bytes ByteWriter::varint(v) appends (1..10).
+constexpr std::size_t varint_size(std::uint64_t v) {
+  return static_cast<std::size_t>(std::bit_width(v | 1) + 6) / 7;
+}
+
 /// Append-only in-memory byte buffer with varint/scalar encoders.
 class ByteWriter {
  public:
@@ -42,9 +48,24 @@ class ByteWriter {
   void u16le(std::uint16_t v);
   /// Raw IEEE-754 bit pattern, little-endian — bit-exact round trip for
   /// every double including NaN payloads and signed zero.
-  void f64le(double v);
+  void f64le(double v) {
+    std::uint8_t buf[8];
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i)
+      buf[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+    bytes_.insert(bytes_.end(), buf, buf + 8);
+  }
   /// LEB128: 7 value bits per byte, high bit = continuation. 1..10 bytes.
-  void varint(std::uint64_t v);
+  /// Inline, and one append per value: the shard writer encodes every
+  /// observation through these.
+  void varint(std::uint64_t v) {
+    std::uint8_t buf[10];
+    std::size_t n = 0;
+    for (; v >= 0x80; v >>= 7)
+      buf[n++] = static_cast<std::uint8_t>(v) | 0x80;
+    buf[n++] = static_cast<std::uint8_t>(v);
+    bytes_.insert(bytes_.end(), buf, buf + n);
+  }
   void svarint(std::int64_t v) { varint(zigzag_encode(v)); }
   void raw(const void* data, std::size_t size);
   /// varint length prefix + bytes.
@@ -54,6 +75,7 @@ class ByteWriter {
   const std::vector<std::uint8_t>& buffer() const { return bytes_; }
   std::vector<std::uint8_t> take() && { return std::move(bytes_); }
   void clear() { bytes_.clear(); }
+  void reserve(std::size_t size) { bytes_.reserve(size); }
 
  private:
   std::vector<std::uint8_t> bytes_;
@@ -113,6 +135,10 @@ class BufferedFileWriter {
   BufferedFileWriter& operator=(const BufferedFileWriter&) = delete;
 
   void write(const void* data, std::size_t size);
+  /// write() for bytes whose crc16_ccitt the caller already has: the
+  /// running CRC advances by crc16_ccitt_combine instead of a scan.
+  void write_checksummed(const void* data, std::size_t size,
+                         std::uint16_t crc16);
   /// CRC-16/CCITT of everything written so far.
   std::uint16_t crc16() const;
   /// Total bytes accepted by write() — the current file offset once
@@ -128,6 +154,8 @@ class BufferedFileWriter {
   void close();
 
  private:
+  void put(const std::uint8_t* p, std::size_t size);
+
   std::FILE* file_;
   std::string path_;
   std::vector<std::uint8_t> buffer_;

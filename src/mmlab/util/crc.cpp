@@ -62,6 +62,47 @@ std::uint16_t crc16_ccitt_update(std::uint16_t state, const std::uint8_t* data,
   return crc16_ccitt_update_reference(state, data, size);
 }
 
+namespace {
+
+// A GF(2)-linear map of the 16-bit state, as the images of its 16 bits.
+using Gf2Matrix = std::array<std::uint16_t, 16>;
+
+std::uint16_t gf2_apply(const Gf2Matrix& m, std::uint16_t v) {
+  std::uint16_t out = 0;
+  for (std::size_t i = 0; v != 0; ++i, v >>= 1)
+    if (v & 1u) out ^= m[i];
+  return out;
+}
+
+Gf2Matrix gf2_square(const Gf2Matrix& m) {
+  Gf2Matrix out{};
+  for (std::size_t i = 0; i < 16; ++i) out[i] = gf2_apply(m, m[i]);
+  return out;
+}
+
+}  // namespace
+
+std::uint16_t crc16_ccitt_combine(std::uint16_t state, std::uint16_t crc,
+                                  std::uint64_t size) {
+  // Updating is affine in the state: update(s, B) = Z(s) ^ update(0, B),
+  // where the linear map Z feeds |B| zero bytes.  crc = update(init, B) ^
+  // 0xFFFF gives update(0, B) = Z(init) ^ crc ^ 0xFFFF, so
+  // update(s, B) = Z(s ^ init) ^ crc ^ 0xFFFF.
+  std::uint16_t zeros = static_cast<std::uint16_t>(state ^ kCrc16CcittInit);
+  // The operator for one zero bit (reflected polynomial), squared up to one
+  // byte, then square-and-multiply over the byte count.
+  Gf2Matrix op{};
+  op[0] = 0x8408;
+  for (std::size_t i = 1; i < 16; ++i)
+    op[i] = static_cast<std::uint16_t>(1u << (i - 1));
+  for (int i = 0; i < 3; ++i) op = gf2_square(op);
+  for (std::uint64_t n = size; n != 0 && zeros != 0; n >>= 1) {
+    if (n & 1u) zeros = gf2_apply(op, zeros);
+    if (n > 1) op = gf2_square(op);
+  }
+  return static_cast<std::uint16_t>(zeros ^ crc ^ 0xFFFF);
+}
+
 std::uint16_t crc16_ccitt(const std::uint8_t* data, std::size_t size) {
   return crc16_ccitt_finalize(crc16_ccitt_update(kCrc16CcittInit, data, size));
 }

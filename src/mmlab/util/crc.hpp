@@ -27,4 +27,10 @@ constexpr std::uint16_t crc16_ccitt_finalize(std::uint16_t state) {
   return static_cast<std::uint16_t>(state ^ 0xFFFF);
 }
 
+/// The update state after `size` bytes whose crc16_ccitt is `crc` follow
+/// `state` — equal to crc16_ccitt_update(state, bytes, size) without
+/// reading the bytes (zlib's crc32_combine, for this CRC): O(log size).
+std::uint16_t crc16_ccitt_combine(std::uint16_t state, std::uint16_t crc,
+                                  std::uint64_t size);
+
 }  // namespace mmlab

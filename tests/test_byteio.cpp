@@ -117,6 +117,50 @@ TEST(ByteIo, ReaderRejectsTruncatedString) {
   EXPECT_THROW(r.str(), ByteUnderflow);
 }
 
+TEST(ByteIo, VarintSizeMatchesTheEncoder) {
+  for (int bits = 0; bits <= 64; ++bits)
+    for (const std::uint64_t delta : {0ull, 1ull}) {
+      const std::uint64_t v =
+          (bits == 64 ? ~0ull : (std::uint64_t{1} << bits)) - delta;
+      ByteWriter w;
+      w.varint(v);
+      EXPECT_EQ(varint_size(v), w.size()) << v;
+    }
+}
+
+TEST(ByteIo, CheckedWritesKeepTheFileCrc) {
+  // write_checksummed (the CRC advanced from the caller's checksum) mixed
+  // with plain writes, below and above the buffer size, must produce the
+  // same file and CRC as plain writes.
+  const auto path =
+      (std::filesystem::temp_directory_path() / "mmlab_byteio_checked.bin")
+          .string();
+  std::vector<std::uint8_t> payload(50'000);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<std::uint8_t>(i * 2654435761u >> 11);
+  const std::size_t cuts[] = {0, 10, 3000, 3001, 20'000, 50'000};
+  std::uint16_t crc;
+  {
+    BufferedFileWriter out(path, 4096);
+    for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
+      const std::uint8_t* p = payload.data() + cuts[i];
+      const std::size_t n = cuts[i + 1] - cuts[i];
+      if (i % 2 == 0)
+        out.write(p, n);
+      else
+        out.write_checksummed(p, n, crc16_ccitt(p, n));
+    }
+    crc = out.crc16();
+    EXPECT_EQ(out.bytes_written(), payload.size());
+    out.close();
+  }
+  EXPECT_EQ(crc, crc16_ccitt(payload.data(), payload.size()));
+  std::vector<std::uint8_t> reread;
+  ASSERT_TRUE(read_file_bytes(path, reread));
+  EXPECT_EQ(reread, payload);
+  std::filesystem::remove(path);
+}
+
 TEST(ByteIo, BufferedFileRoundTripWithCrc) {
   const auto path =
       (std::filesystem::temp_directory_path() / "mmlab_byteio_test.bin")

@@ -86,6 +86,25 @@ TEST(Crc, SliceBy8MatchesOracleOnLongRandomBuffers) {
   }
 }
 
+TEST(Crc, CombineEqualsUpdateOverTheBytes) {
+  // Appending bytes known only by their crc16_ccitt and length must land on
+  // the state a scan reaches: empty and long tails, any running state.
+  Rng rng(0xc0b1);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint8_t> head(rng.below(300));
+    std::vector<std::uint8_t> tail(trial % 50 == 0 ? 0
+                                                   : 1 + rng.below(70'000));
+    for (auto& b : head) b = static_cast<std::uint8_t>(rng.below(256));
+    for (auto& b : tail) b = static_cast<std::uint8_t>(rng.below(256));
+    const std::uint16_t state =
+        crc16_ccitt_update(kCrc16CcittInit, head.data(), head.size());
+    EXPECT_EQ(crc16_ccitt_combine(state, crc16_ccitt(tail.data(), tail.size()),
+                                  tail.size()),
+              crc16_ccitt_update(state, tail.data(), tail.size()))
+        << "trial " << trial;
+  }
+}
+
 TEST(Table, RejectsArityMismatch) {
   TablePrinter t({"a", "b"});
   EXPECT_THROW(t.add_row({"1"}), std::invalid_argument);

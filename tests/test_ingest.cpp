@@ -257,6 +257,34 @@ TEST(Ingest, MatchesSerialExtractionAcrossConfigurations) {
   }
 }
 
+TEST(IngestDrain, DrainEqualsSnapshotAndSerialChain) {
+  // drain() and snapshot() share one per-carrier merge; both must equal
+  // merging the per-session databases one after another in session-id
+  // order, whatever the worker count.
+  const auto uploads = sim::split_crawl_uploads(crawl_logs(), 5);
+  core::ConfigDatabase chain;
+  for (const auto& upload : uploads) {
+    core::ConfigDatabase session;
+    core::extract_configs(upload.carrier, upload.diag_log, session);
+    chain.merge(std::move(session));
+  }
+  ASSERT_GT(chain.total_samples(), 0u);
+  for (unsigned workers : {1u, 3u, 8u}) {
+    Service::Options opts;
+    opts.workers = workers;
+    Service service(opts);
+    ReplayOptions ropts;
+    ropts.chunk_bytes = 777;
+    replay_uploads(service, uploads, ropts);
+    service.wait_quiescent();
+    const core::ConfigDatabase snap = service.snapshot();
+    const core::ConfigDatabase drained = service.drain();
+    EXPECT_EQ(snap, chain) << "workers " << workers;
+    EXPECT_EQ(drained, chain) << "workers " << workers;
+    EXPECT_EQ(service.snapshot(), core::ConfigDatabase{});  // drained
+  }
+}
+
 TEST(Ingest, TinyQueueStaysBoundedAndCorrect) {
   const core::ConfigDatabase reference = serial_reference();
   Metrics metrics;

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "mmlab/sim/crawl.hpp"
+#include "mmlab/util/rng.hpp"
 #include "test_helpers.hpp"
 
 namespace mmlab::core {
@@ -185,6 +190,125 @@ TEST(DatabaseMerge, UnsortedHandBuiltShardsStillSortStably) {
   EXPECT_EQ(obs[1].value, 4.0);
   EXPECT_EQ(obs[2].value, 3.0);
   EXPECT_EQ(obs[3].value, 1.0);
+}
+
+// --- merge_all: the per-carrier parallel merge ------------------------------
+
+/// Shards whose cells overlap heavily: a small id space per carrier,
+/// coarse timestamps (many equal-t ties), per-shard metadata, some
+/// observation-less records and some hand-built records whose observations
+/// are not t-sorted (merge_from's stable_sort fallback).
+std::vector<ConfigDatabase> overlapping_shards(std::uint64_t seed,
+                                               std::size_t count) {
+  Rng rng(seed);
+  std::vector<ConfigDatabase> shards(count);
+  for (std::size_t s = 0; s < count; ++s) {
+    const auto cells = 1 + rng.below(40);
+    for (std::uint64_t k = 0; k < cells; ++k) {
+      std::string carrier = "C";
+      carrier += std::to_string(rng.below(5));
+      const auto id = static_cast<std::uint32_t>(1 + rng.below(30));
+      CellRecord& rec = shards[s].upsert_cell(carrier, id);
+      if (rec.observations.empty()) {
+        rec.cell_id = id;
+        rec.rat = static_cast<spectrum::Rat>(rng.below(3));
+        rec.channel = static_cast<std::uint32_t>(rng.below(3000));
+        rec.position = {static_cast<double>(s), static_cast<double>(k)};
+      }
+      const auto n = rng.below(5);  // 0: an observation-less record
+      for (std::uint64_t i = 0; i < n; ++i)
+        rec.observations.push_back(
+            {config::lte_param(ParamId::kServingPriority),
+             static_cast<double>(rng.below(1000)),
+             SimTime{static_cast<Millis>(rng.below(20) * 10)}, -1});
+      if (rng.chance(0.8))
+        std::stable_sort(rec.observations.begin(), rec.observations.end(),
+                         [](const Observation& a, const Observation& b) {
+                           return a.t < b.t;
+                         });
+    }
+  }
+  return shards;
+}
+
+/// The definition merge_all must equal: merge() each shard in order.
+ConfigDatabase serial_chain(ConfigDatabase dst,
+                            std::vector<ConfigDatabase> shards) {
+  for (auto& shard : shards) dst.merge(std::move(shard));
+  return dst;
+}
+
+TEST(DatabaseMergeAll, EqualsSerialChainForEveryThreadCount) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto shards = overlapping_shards(seed, 3 + seed * 5);
+    // An empty destination, and one already holding overlapping cells.
+    const ConfigDatabase destinations[] = {
+        ConfigDatabase{}, overlapping_shards(seed + 100, 1).front()};
+    for (const auto& dst : destinations) {
+      const ConfigDatabase expected = serial_chain(dst, shards);
+      for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
+        ConfigDatabase merged = dst;
+        auto parts = shards;
+        merged.merge_all(std::move(parts), threads);
+        EXPECT_EQ(merged, expected)
+            << "seed " << seed << " threads " << threads;
+        EXPECT_TRUE(parts.empty());
+      }
+    }
+  }
+}
+
+TEST(DatabaseMergeAll, EarliestObservationSetsMetadata) {
+  std::vector<ConfigDatabase> shards(3);
+  ConfigDatabase dst;
+  dst.add_snapshot("A", 1, spectrum::Rat::kLte, 850, {1, 1}, SimTime{100},
+                   one_param(1.0));
+  shards[0].add_snapshot("A", 1, spectrum::Rat::kLte, 851, {2, 2},
+                         SimTime{50}, one_param(2.0));
+  shards[1].add_snapshot("A", 1, spectrum::Rat::kLte, 852, {3, 3},
+                         SimTime{10}, one_param(3.0));
+  // Observation-less: contributes nothing, not even metadata.
+  auto& empty = shards[2].upsert_cell("A", 1);
+  empty.position = {4, 4};
+  const ConfigDatabase expected = serial_chain(dst, shards);
+  dst.merge_all(std::move(shards), 4);
+  EXPECT_EQ(dst, expected);
+  const auto& rec = dst.cells_of("A")->at(1);
+  EXPECT_EQ(rec.position, (geo::Point{3, 3}));
+  EXPECT_EQ(rec.channel, 852u);
+  ASSERT_EQ(rec.observations.size(), 3u);
+  EXPECT_EQ(rec.observations.front().t, SimTime{10});
+}
+
+TEST(DatabaseMergeAll, EqualTimestampsKeepShardOrder) {
+  std::vector<ConfigDatabase> shards(4);
+  for (std::size_t s = 0; s < shards.size(); ++s)
+    shards[s].add_snapshot("A", 1, spectrum::Rat::kLte, 850, {0, 0},
+                           SimTime{100}, one_param(static_cast<double>(s)));
+  ConfigDatabase db;
+  db.merge_all(std::move(shards), 3);
+  const auto& obs = db.cells_of("A")->at(1).observations;
+  ASSERT_EQ(obs.size(), 4u);
+  for (std::size_t i = 0; i < obs.size(); ++i)
+    EXPECT_EQ(obs[i].value, static_cast<double>(i));
+}
+
+TEST(DatabaseMergeAll, UnsortedShardsFallBackToStableSort) {
+  const auto key = config::lte_param(ParamId::kServingPriority);
+  std::vector<ConfigDatabase> shards(3);
+  shards[0].upsert_cell("A", 1).observations = {{key, 1.0, SimTime{300}, -1},
+                                                {key, 2.0, SimTime{100}, -1}};
+  shards[1].upsert_cell("A", 1).observations = {{key, 3.0, SimTime{200}, -1},
+                                                {key, 4.0, SimTime{100}, -1}};
+  shards[2].upsert_cell("A", 1).observations = {{key, 5.0, SimTime{100}, -1}};
+  const ConfigDatabase expected = serial_chain(ConfigDatabase{}, shards);
+  ConfigDatabase db;
+  db.merge_all(std::move(shards), 2);
+  EXPECT_EQ(db, expected);
+  std::vector<double> values;
+  for (const auto& obs : db.cells_of("A")->at(1).observations)
+    values.push_back(obs.value);
+  EXPECT_EQ(values, (std::vector<double>{2.0, 4.0, 5.0, 3.0, 1.0}));
 }
 
 // --- crawl with non-dense carrier ids ---------------------------------------

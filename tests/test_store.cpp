@@ -194,6 +194,152 @@ TEST(StoreRoundTrip, LoadIsThreadCountInvariant) {
   }
 }
 
+// --- save_database: the parallel writer --------------------------------------
+
+/// Every file of a store directory, by name.
+std::map<std::string, std::vector<std::uint8_t>> store_files(
+    const std::string& dir) {
+  std::map<std::string, std::vector<std::uint8_t>> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::vector<std::uint8_t> bytes;
+    EXPECT_TRUE(read_file_bytes(entry.path().string(), bytes));
+    files[entry.path().filename().string()] = std::move(bytes);
+  }
+  return files;
+}
+
+/// save_database on every thread count must write exactly the bytes of
+/// the serial writer: ShardWriter fed each cell in (carrier, id) order.
+void expect_serial_writer_bytes(const core::ConfigDatabase& db,
+                                WriterOptions wopts, const std::string& tag) {
+  StoreDir serial_dir("save_serial_" + tag);
+  {
+    ShardWriter writer(serial_dir.path(), wopts);
+    for (const auto& [carrier, cells] : db.carriers())
+      for (const auto& [id, rec] : cells) writer.add_cell(carrier, id, rec);
+    writer.finish();
+  }
+  const auto expected = store_files(serial_dir.path());
+  for (unsigned threads : {1u, 2u, 4u, 0u}) {
+    StoreDir dir("save_" + tag + "_" + std::to_string(threads));
+    const auto stats = save_database(db, dir.path(), wopts, threads);
+    EXPECT_EQ(stats.rows, db.total_samples()) << tag;
+    EXPECT_TRUE(store_files(dir.path()) == expected)
+        << tag << ": threads " << threads << " changed the store's bytes";
+  }
+}
+
+TEST(StoreWrite, SaveIsThreadCountInvariant) {
+  // Tiny targets rotate blocks and shards inside one carrier and across
+  // carriers; the default targets give one block per carrier.
+  WriterOptions tiny;
+  tiny.target_block_bytes = 700;
+  tiny.target_shard_bytes = 5000;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto db = random_db(seed, 2 + seed, 30 + 10 * seed);
+    StoreDir probe("save_probe");
+    save_database(db, probe.path(), tiny, 3);
+    auto set = ShardSet::open(probe.path());
+    ASSERT_TRUE(set.ok()) << set.error_message();
+    EXPECT_GT(set.value().manifest().shards.size(), 1u);
+    EXPECT_GT(set.value().blocks().size(),
+              2 * set.value().manifest().carriers.size());
+    expect_serial_writer_bytes(db, tiny, "tiny" + std::to_string(seed));
+    expect_serial_writer_bytes(db, {}, "default" + std::to_string(seed));
+  }
+  expect_serial_writer_bytes(edge_case_db(), tiny, "edge");
+  expect_serial_writer_bytes(core::ConfigDatabase{}, {}, "empty");
+}
+
+TEST(StoreWrite, ParameterFirstSeenInALaterCarrier) {
+  const auto ps = config::lte_param(config::ParamId::kServingPriority);
+  const auto hs = config::lte_param(config::ParamId::kQHyst);
+  const config::ParamKey umts{spectrum::Rat::kUmts, 2};
+  core::ConfigDatabase db;
+  for (std::uint32_t id = 1; id <= 20; ++id)
+    db.add_snapshot("A", id, spectrum::Rat::kLte, 850, {1, 2}, SimTime{id},
+                    {{ps, 1.0, -1}});
+  for (std::uint32_t id = 1; id <= 20; ++id)
+    db.add_snapshot("B", id, spectrum::Rat::kLte, 850, {1, 2}, SimTime{id},
+                    {{ps, 2.0, -1}, {hs, 3.0, -1}});
+  db.add_snapshot("C", 7, spectrum::Rat::kUmts, 10, {3, 4}, SimTime{5},
+                  {{umts, 4.0, 1}, {hs, 5.0, -1}});
+  StoreDir dir("save_first_seen");
+  save_database(db, dir.path(), {}, 4);
+  const auto manifest = read_manifest(dir.path());
+  ASSERT_TRUE(manifest.ok()) << manifest.error_message();
+  EXPECT_EQ(manifest.value().params,
+            (std::vector<std::string>{config::param_name(ps),
+                                      config::param_name(hs),
+                                      config::param_name(umts)}));
+  WriterOptions tiny;
+  tiny.target_block_bytes = 64;
+  tiny.target_shard_bytes = 256;
+  expect_serial_writer_bytes(db, tiny, "first_seen");
+}
+
+TEST(StoreWrite, SingleCellCarriersAndObservationlessCells) {
+  core::ConfigDatabase db = random_db(5, 3, 25);
+  db.add_snapshot("Solo", 42, spectrum::Rat::kGsm, 850, {7, 8}, SimTime{1},
+                  {{config::ParamKey{spectrum::Rat::kGsm, 1}, 9.0, -1}});
+  auto& bare = db.upsert_cell("Bare", 3);  // a cell with no observations
+  bare.cell_id = 3;
+  bare.channel = 600;
+  WriterOptions tiny;
+  tiny.target_block_bytes = 300;
+  tiny.target_shard_bytes = 1000;
+  expect_serial_writer_bytes(db, tiny, "single_cell");
+  expect_serial_writer_bytes(db, {}, "single_cell_default");
+}
+
+TEST(StoreWrite, TwoByteParameterIndexes) {
+  // Over 128 distinct parameters: later table indexes take two varint
+  // bytes, so the writer must size cells with the real table.
+  Rng rng(8);
+  core::ConfigDatabase db;
+  for (std::uint32_t id = 1; id <= 60; ++id) {
+    std::vector<config::ParamObservation> params;
+    for (int p = 0; p < 6; ++p)
+      params.push_back({config::ParamKey{spectrum::Rat::kUmts,
+                                         static_cast<std::uint16_t>(
+                                             10 + rng.below(300))},
+                        static_cast<double>(p), -1});
+    std::string carrier = "K";
+    carrier += std::to_string(id % 3);
+    db.add_snapshot(carrier, id, spectrum::Rat::kUmts, 10, {0, 0},
+                    SimTime{id}, params);
+  }
+  StoreDir dir("save_two_byte");
+  save_database(db, dir.path(), {}, 2);
+  const auto manifest = read_manifest(dir.path());
+  ASSERT_TRUE(manifest.ok()) << manifest.error_message();
+  ASSERT_GT(manifest.value().params.size(), 128u);
+  WriterOptions tiny;
+  tiny.target_block_bytes = 200;
+  tiny.target_shard_bytes = 900;
+  expect_serial_writer_bytes(db, tiny, "two_byte");
+  expect_round_trip(db, "two_byte");
+}
+
+TEST(StoreWrite, EncodedSizeMatchesTheEncoder) {
+  for (const auto& db : {random_db(3), edge_case_db()}) {
+    for (const std::uint32_t base : {0u, 127u, 16'383u, 2'097'151u}) {
+      mmds::ParamIndexMap params;
+      std::uint32_t next = base;
+      for (const auto& [carrier, cells] : db.carriers())
+        for (const auto& [id, rec] : cells)
+          for (const auto& obs : rec.observations) params.set(obs.key, next++);
+      for (const auto& [carrier, cells] : db.carriers())
+        for (const auto& [id, rec] : cells) {
+          ByteWriter out;
+          mmds::encode_cell(out, id, rec, params);
+          EXPECT_EQ(mmds::encoded_size(id, rec, params), out.size())
+              << carrier << "/" << id << " base " << base;
+        }
+    }
+  }
+}
+
 /// Replays a database's snapshots (carrier name order, cells ascending,
 /// observations in time order) into a StreamingDatasetSink — the same
 /// per-cell nondecreasing-time contract the generator satisfies.
@@ -502,6 +648,27 @@ TEST(StoreFormat, DirectoryDetectsAsMmds2) {
     ASSERT_TRUE(format.ok()) << format.error_message();
     EXPECT_EQ(format.value(), DatasetFormat::kMmds2) << path;
   }
+}
+
+TEST(StoreFormat, BareManifestPathOpensItsStore) {
+  // detect_dataset_format sniffs both spellings as a store, so both must
+  // open it: a path naming manifest.mmds2 resolves to its directory.
+  StoreDir dir("bare_manifest");
+  std::string manifest, shard;
+  populate_store(dir, &manifest, &shard);
+  EXPECT_EQ(store_directory(manifest), dir.path());
+  EXPECT_EQ(store_directory(dir.path()), dir.path());
+  auto by_dir = ShardSet::open(dir.path());
+  auto by_manifest = ShardSet::open(manifest);
+  ASSERT_TRUE(by_dir.ok()) << by_dir.error_message();
+  ASSERT_TRUE(by_manifest.ok()) << by_manifest.error_message();
+  EXPECT_EQ(by_manifest.value().dir(), dir.path());
+  EXPECT_TRUE(by_manifest.value().verify().ok());
+  core::ConfigDatabase a, b;
+  ASSERT_TRUE(load_database(by_dir.value(), a).ok());
+  ASSERT_TRUE(load_database(by_manifest.value(), b).ok());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, random_db(31, 2, 20));
 }
 
 TEST(StoreFormat, OtherMmdsVersionsFailNamingTheVersion) {
